@@ -12,8 +12,8 @@
 package coherence_test
 
 import (
-	"encoding/binary"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"gom/internal/faultpoint"
+	"gom/internal/oid"
 	"gom/internal/page"
 	"gom/internal/server"
 	"gom/internal/storage"
@@ -196,9 +197,64 @@ func (cc *cachingClient) read(pid page.PageID) ([]byte, error) {
 	return img, nil
 }
 
+// lookupReader models object faults over the pipelined client, which
+// ships an object's page with its Lookup and serves the next ReadPage of
+// that page from it. Each read takes the page from ReadPage, then resolves
+// the object again, as the object manager does when it touches an object
+// whose page is resident — so the page a Lookup shipped outlives the read
+// that fetched it, across whatever writes complete before the next read.
+// The client's invalidation handling, not this reader, must drop it.
+type lookupReader struct {
+	c  *server.Client
+	id oid.OID
+}
+
+func newLookupReader(t *testing.T, addr string, id oid.OID) *lookupReader {
+	t.Helper()
+	c, err := server.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if !c.HasCoherence() {
+		t.Fatal("coherence not negotiated")
+	}
+	return &lookupReader{c: c, id: id}
+}
+
+func (lr *lookupReader) read(pid page.PageID) ([]byte, error) {
+	img, err := lr.c.ReadPage(pid)
+	if err != nil {
+		return nil, err
+	}
+	a, err := lr.c.Lookup(lr.id)
+	if err != nil {
+		return nil, err
+	}
+	if a.Page != pid {
+		return nil, fmt.Errorf("object moved to page %v", a.Page)
+	}
+	return img, nil
+}
+
+// reader is one reading client of the register.
+type reader interface {
+	read(pid page.PageID) ([]byte, error)
+}
+
+// cachingReaders and lookupReaders build a scenario's readers.
+func cachingReaders(t *testing.T, addr string, _ *register) reader {
+	return newCachingClient(t, addr)
+}
+
+func lookupReaders(t *testing.T, addr string, reg *register) reader {
+	return newLookupReader(t, addr, reg.id)
+}
+
 // register is the shared one-value register: an 8-byte slot at a fixed
-// offset inside one page.
+// offset inside one page, in the record of object id.
 type register struct {
+	id       oid.OID
 	pid      page.PageID
 	off      int
 	template []byte // page image to patch values into
@@ -213,7 +269,7 @@ func setupRegister(t *testing.T, mgr *storage.Manager) *register {
 	var seed [8]byte
 	binary.LittleEndian.PutUint64(seed[:], seedValue)
 	local := server.NewLocal(mgr)
-	_, addr, err := local.Allocate(0, seed[:])
+	id, addr, err := local.Allocate(0, seed[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +281,7 @@ func setupRegister(t *testing.T, mgr *storage.Manager) *register {
 	if off < 0 {
 		t.Fatal("seed value not found in page image")
 	}
-	return &register{pid: addr.Page, off: off, template: img}
+	return &register{id: id, pid: addr.Page, off: off, template: img}
 }
 
 func (r *register) valueOf(img []byte) uint64 {
@@ -240,10 +296,12 @@ func (r *register) imageFor(v uint64) []byte {
 
 // runScenario drives writers×writes and readers×reads over the register
 // and returns the merged history. Each writer's op is provided by doWrite
-// (direct WritePage, or a begin/write/commit transaction).
+// (direct WritePage, or a begin/write/commit transaction); newReader
+// builds the readers.
 func runScenario(t *testing.T, addr string, reg *register,
 	writers, writesEach, readers, readsEach int,
-	doWrite func(t *testing.T, cl *server.Client, img []byte) error) []regOp {
+	doWrite func(t *testing.T, cl *server.Client, img []byte) error,
+	newReader func(t *testing.T, addr string, reg *register) reader) []regOp {
 	t.Helper()
 	var (
 		mu  sync.Mutex
@@ -277,9 +335,9 @@ func runScenario(t *testing.T, addr string, reg *register,
 		}(wi, cl)
 	}
 	for ri := 0; ri < readers; ri++ {
-		cc := newCachingClient(t, addr)
+		cc := newReader(t, addr, reg)
 		wg.Add(1)
-		go func(ri int, cc *cachingClient) {
+		go func(ri int, cc reader) {
 			defer wg.Done()
 			for k := 0; k < readsEach; k++ {
 				inv := clock.Add(1)
@@ -317,9 +375,7 @@ func TestLinearizableDirectWrites(t *testing.T) {
 	reg := setupRegister(t, mgr)
 
 	ops := runScenario(t, srv.Addr().String(), reg, 4, 5, 4, 11,
-		func(t *testing.T, cl *server.Client, img []byte) error {
-			return cl.WritePage(reg.pid, img)
-		})
+		writeDirect(reg), cachingReaders)
 	if t.Failed() {
 		return
 	}
@@ -349,32 +405,94 @@ func TestLinearizableTxCommits(t *testing.T) {
 	defer srv.Close()
 	reg := setupRegister(t, mgr)
 
-	ops := runScenario(t, srv.Addr().String(), reg, 4, 3, 4, 8,
-		func(t *testing.T, cl *server.Client, img []byte) error {
-			for attempt := 0; ; attempt++ {
-				if _, err := cl.BeginTx(); err != nil {
-					return err
-				}
-				err := cl.WritePage(reg.pid, img)
-				if err == nil {
-					err = cl.CommitTx()
-				} else {
-					cl.AbortTx()
-				}
-				if err == nil {
-					return nil
-				}
-				if attempt > 20 {
-					return fmt.Errorf("write never committed: %w", err)
-				}
-				time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-			}
-		})
+	ops := runScenario(t, srv.Addr().String(), reg, 4, 3, 4, 8, writeTx(reg), cachingReaders)
 	if t.Failed() {
 		return
 	}
 	if !linearizable(ops, seedValue) {
 		t.Fatalf("history is not linearizable:\n%s", dumpHistory(ops))
+	}
+}
+
+// writeDirect writes the register with a non-transactional WritePage.
+func writeDirect(reg *register) func(t *testing.T, cl *server.Client, img []byte) error {
+	return func(t *testing.T, cl *server.Client, img []byte) error {
+		return cl.WritePage(reg.pid, img)
+	}
+}
+
+// writeTx writes the register in a begin/write/commit transaction. Lock
+// conflicts between writers surface as transient errors and are retried
+// inside the op's interval.
+func writeTx(reg *register) func(t *testing.T, cl *server.Client, img []byte) error {
+	return func(t *testing.T, cl *server.Client, img []byte) error {
+		for attempt := 0; ; attempt++ {
+			if _, err := cl.BeginTx(); err != nil {
+				return err
+			}
+			err := cl.WritePage(reg.pid, img)
+			if err == nil {
+				err = cl.CommitTx()
+			} else {
+				cl.AbortTx()
+			}
+			if err == nil {
+				return nil
+			}
+			if attempt > 20 {
+				return fmt.Errorf("write never committed: %w", err)
+			}
+			time.Sleep(time.Duration(attempt+1) * time.Millisecond)
+		}
+	}
+}
+
+// TestLinearizableLookupReaders: writers against a Lookup→ReadPage
+// reader, whose reads are served from the page the previous read's Lookup
+// shipped unless an invalidation dropped it. A page image kept past an
+// acknowledged invalidation is a stale read after a completed write,
+// which has no witness. One reader runs, not several: a write becomes
+// visible to a fresh server read before the invalidation round that
+// covers other readers' cached copies completes, so two readers can
+// observe new-then-old across connections, a known gap of the
+// invalidation protocol rather than of the stash (DESIGN.md "Cache
+// coherence").
+func TestLinearizableLookupReaders(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tx    bool
+		write func(*register) func(*testing.T, *server.Client, []byte) error
+	}{
+		{"direct", false, writeDirect},
+		{"tx", true, writeTx},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr := storage.NewManager(1)
+			if err := mgr.CreateSegment(0); err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var srv *server.TCPServer
+			if tc.tx {
+				srv = server.ServeTx(ln, server.NewTxServer(mgr, 2*time.Second))
+			} else {
+				srv = server.Serve(ln, mgr)
+			}
+			srv.EnableCoherence(server.CoherenceOptions{})
+			defer srv.Close()
+			reg := setupRegister(t, mgr)
+
+			ops := runScenario(t, srv.Addr().String(), reg, 4, 4, 1, 48, tc.write(reg), lookupReaders)
+			if t.Failed() {
+				return
+			}
+			if !linearizable(ops, seedValue) {
+				t.Fatalf("history is not linearizable:\n%s", dumpHistory(ops))
+			}
+		})
 	}
 }
 

@@ -125,8 +125,10 @@ func (t *Table) Register(pid page.PageID, cid ClientID) []Eviction {
 		t.remove(head.pid, head.cid)
 		evicted = append(evicted, Eviction{Client: head.cid, Page: head.pid})
 	}
-	// Compact the queue before stale entries dominate it.
-	if len(t.queue) > 4*t.cap {
+	// Compact the queue before stale entries dominate it. The bound is
+	// relative to the live registrations, not the capacity: re-registering
+	// a few hot pages would otherwise pile up 4×cap stale entries first.
+	if len(t.queue) > 4*t.size {
 		t.compact()
 	}
 	return evicted

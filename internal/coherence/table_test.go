@@ -144,6 +144,30 @@ func TestTableQueueCompaction(t *testing.T) {
 	}
 }
 
+// TestTableQueueBoundedByLiveRegistrations re-registers a handful of hot
+// pages at the default capacity: the eviction queue must stay within a
+// constant factor of the live registrations, not of the capacity (every
+// Lookup and ReadPage re-registers, so the stale entries would otherwise
+// reach 4×DefaultCap before the first compaction).
+func TestTableQueueBoundedByLiveRegistrations(t *testing.T) {
+	const live = 10
+	tb := NewTable(DefaultCap)
+	for i := 0; i < 100_000; i++ {
+		tb.Register(page.PageID(i%live+1), 10)
+		if got := len(tb.queue); got > 4*live+1 {
+			t.Fatalf("after %d registrations the queue holds %d entries for %d live registrations", i+1, got, live)
+		}
+	}
+	if got := tb.Len(); got != live {
+		t.Fatalf("Len = %d, want %d", got, live)
+	}
+	for pid := page.PageID(1); pid <= live; pid++ {
+		if !tb.StillRegistered(pid, 10) {
+			t.Fatalf("page %d lost its registration during churn", pid)
+		}
+	}
+}
+
 // TestTableRaceStorm is the -race guard from the issue: four clients
 // register, invalidate, and disconnect concurrently while invariants are
 // probed from the outside. Run with -race.

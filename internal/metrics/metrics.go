@@ -100,6 +100,9 @@ const (
 	CtrCoherenceAckTimeout
 	CtrCoherencePushDropped
 	CtrCoherenceLeaseExpired
+	// CtrReadPageFromLookup counts client ReadPage calls served from the
+	// page image a pipelined Lookup shipped, with no RPC.
+	CtrReadPageFromLookup
 	NumCounters
 )
 
@@ -159,6 +162,7 @@ var counterNames = [NumCounters]string{
 	"coherence_ack_timeouts",
 	"coherence_push_dropped",
 	"coherence_lease_expired",
+	"read_page_from_lookup",
 }
 
 // String returns the counter's snake_case event name.

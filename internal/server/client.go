@@ -118,6 +118,15 @@ type Client struct {
 	lastRecv     atomic.Int64
 	leaseTimeout time.Duration
 	leaseFired   atomic.Bool
+
+	// Lookup page stash (see Lookup): the page image shipped with the
+	// connection's most recent Lookup, held until ReadPage consumes it or
+	// a drop rule discards it. stashGen counts drops; a Lookup stashes
+	// its page only if no drop happened between its send and its reply.
+	stashMu  sync.Mutex
+	stashGen uint64
+	stashPID page.PageID
+	stashImg []byte
 }
 
 // Dial connects to a page server with default options: pipelined when the
@@ -358,6 +367,7 @@ func (c *Client) readLoop() {
 		// response is simply dropped.
 	}
 	close(c.done)
+	c.dropStash()
 	err := c.errOr(ErrClientClosed)
 	c.pendMu.Lock()
 	for id, ch := range c.pending {
@@ -372,10 +382,22 @@ func (c *Client) readLoop() {
 	}
 }
 
-// call issues one RPC, retrying transient failures (a statusTransient
+// call issues one RPC other than a page-shipping Lookup. It drops the
+// Lookup page stash when the RPC is sent and again when it completes: the
+// RPC may change the stashed page (a write, a transaction boundary), and a
+// Lookup whose reply overlaps it must not stash a page image that predates
+// it.
+func (c *Client) call(op byte, payload []byte) ([]byte, error) {
+	c.dropStash()
+	resp, err := c.exchange(op, payload)
+	c.dropStash()
+	return resp, err
+}
+
+// exchange issues one RPC, retrying transient failures (a statusTransient
 // response, or a send dropped by the rpc.send fault site) with exponential
 // backoff up to the dial option's RetryAttempts.
-func (c *Client) call(op byte, payload []byte) ([]byte, error) {
+func (c *Client) exchange(op byte, payload []byte) ([]byte, error) {
 	resp, err := c.callOnce(op, payload)
 	if err == nil || c.retries == 0 {
 		return resp, err
@@ -534,22 +556,47 @@ func (c *Client) mapNetErr(op byte, err error) error {
 	return err
 }
 
-// Lookup implements Server.
+// Lookup implements Server. On a pipelined connection it asks the server
+// to ship the object's page with the address (a 9-byte request: the OID
+// and a flag byte of 1) and stashes the image, so the ReadPage that an
+// object fault issues next for that page is served without a round trip.
 func (c *Client) Lookup(id oid.OID) (storage.PAddr, error) {
-	req := make([]byte, 8)
+	if !c.hasBatch() {
+		req := make([]byte, 8)
+		putOID(req, id)
+		resp, err := c.call(opLookup, req)
+		if err != nil {
+			return storage.PAddr{}, err
+		}
+		if len(resp) != 10 {
+			return storage.PAddr{}, errProtocol
+		}
+		return getPAddr(resp), nil
+	}
+	req := make([]byte, 9)
 	putOID(req, id)
-	resp, err := c.call(opLookup, req)
+	req[8] = 1
+	gen := c.stashGeneration()
+	resp, err := c.exchange(opLookup, req)
+	if err == nil && len(resp) != 10+page.Size {
+		err = errProtocol
+	}
 	if err != nil {
+		c.dropStash()
 		return storage.PAddr{}, err
 	}
-	if len(resp) != 10 {
-		return storage.PAddr{}, errProtocol
-	}
-	return getPAddr(resp), nil
+	addr := getPAddr(resp)
+	c.stashPut(gen, addr.Page, resp[10:])
+	return addr, nil
 }
 
-// ReadPage implements Server.
+// ReadPage implements Server. A read of the page the most recent Lookup
+// shipped consumes the stashed image instead of issuing an RPC.
 func (c *Client) ReadPage(pid page.PageID) ([]byte, error) {
+	if img := c.stashTake(pid); img != nil {
+		c.obs.Inc(metrics.CtrReadPageFromLookup)
+		return img, nil
+	}
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, uint64(pid))
 	resp, err := c.call(opReadPage, req)
@@ -769,3 +816,67 @@ var (
 	_ BatchLookuper = (*Client)(nil)
 	_ PageRunReader = (*Client)(nil)
 )
+
+// The Lookup page stash. It holds at most one image — the page shipped by
+// the connection's most recent Lookup — and is dropped by every other RPC
+// (at send and at completion), by an invalidation push naming the page
+// (in the read loop, before the push is acknowledged), by lease expiry and
+// by connection failure. A drop also bumps stashGen, so a Lookup in flight
+// across a drop does not stash: its image may predate the drop's cause.
+
+// stashGeneration returns the drop count a Lookup compares against when
+// its reply arrives.
+func (c *Client) stashGeneration() uint64 {
+	c.stashMu.Lock()
+	defer c.stashMu.Unlock()
+	return c.stashGen
+}
+
+// stashPut stashes a Lookup's page image if nothing was dropped since the
+// Lookup was sent (gen); otherwise the stash is left empty.
+func (c *Client) stashPut(gen uint64, pid page.PageID, img []byte) {
+	c.stashMu.Lock()
+	if c.stashGen == gen {
+		c.stashPID, c.stashImg = pid, img
+	} else {
+		c.stashImg = nil
+	}
+	c.stashMu.Unlock()
+}
+
+// stashTake consumes the stashed image when it is pid's, else returns nil.
+func (c *Client) stashTake(pid page.PageID) []byte {
+	c.stashMu.Lock()
+	defer c.stashMu.Unlock()
+	img := c.stashImg
+	if img == nil || c.stashPID != pid {
+		return nil
+	}
+	c.stashImg = nil
+	return img
+}
+
+// dropStash empties the stash and invalidates Lookups in flight.
+func (c *Client) dropStash() {
+	c.stashMu.Lock()
+	c.stashGen++
+	c.stashImg = nil
+	c.stashMu.Unlock()
+}
+
+// dropStashPages is dropStash for an invalidation push: the stash is
+// emptied only if the push names its page, but every Lookup in flight is
+// invalidated, since its page is not known yet.
+func (c *Client) dropStashPages(pids []page.PageID) {
+	c.stashMu.Lock()
+	c.stashGen++
+	if c.stashImg != nil {
+		for _, pid := range pids {
+			if pid == c.stashPID {
+				c.stashImg = nil
+				break
+			}
+		}
+	}
+	c.stashMu.Unlock()
+}

@@ -63,6 +63,7 @@ func (c *Client) handleInvalidate(body []byte) {
 	}
 	c.obs.Inc(metrics.CtrCoherenceInvalRecv)
 	c.obs.RPCFrame(metrics.RPCInvalidate, false, 4+1+8+len(body))
+	c.dropStashPages(pids)
 	if fn := c.onInval.Load(); fn != nil {
 		(*fn)(epoch, pids)
 	}
@@ -120,6 +121,7 @@ func (c *Client) fireLease() {
 		return
 	}
 	c.obs.Inc(metrics.CtrCoherenceLeaseExpired)
+	c.dropStash()
 	if fn := c.onLease.Load(); fn != nil {
 		(*fn)()
 	}

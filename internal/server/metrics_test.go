@@ -12,7 +12,10 @@ import (
 // TestTCPMetricsConcurrentClients hammers one TCP server with several
 // client goroutines and checks that the registry's per-RPC histogram
 // totals equal the sum of the per-client work — i.e. the counters are
-// race-free and nothing is dropped under contention. Run with -race.
+// race-free and nothing is dropped under contention. A ReadPage of the
+// page a Lookup just shipped is served by the client without an RPC, so
+// server read_page RPCs plus the clients' read_page_from_lookup hits must
+// equal the ReadPage calls. Run with -race.
 func TestTCPMetricsConcurrentClients(t *testing.T) {
 	mgr := newMgr(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -23,6 +26,7 @@ func TestTCPMetricsConcurrentClients(t *testing.T) {
 	defer srv.Close()
 	reg := metrics.New()
 	srv.SetMetrics(reg)
+	creg := metrics.New() // shared by every client connection
 
 	const clients = 8
 	const perClient = 50
@@ -32,7 +36,7 @@ func TestTCPMetricsConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr().String())
+			c, err := DialWith(srv.Addr().String(), DialOptions{Metrics: creg})
 			if err != nil {
 				errs <- err
 				return
@@ -68,15 +72,24 @@ func TestTCPMetricsConcurrentClients(t *testing.T) {
 
 	snap := reg.Snapshot()
 	const want = int64(clients * perClient)
-	for _, rpc := range []metrics.RPCOp{metrics.RPCAllocate, metrics.RPCLookup, metrics.RPCReadPage} {
+	for _, rpc := range []metrics.RPCOp{metrics.RPCAllocate, metrics.RPCLookup} {
 		if got := snap.RPC[rpc].Count; got != want {
 			t.Errorf("server_rpc{%v} count = %d, want %d", rpc, got, want)
 		}
 	}
+	hits := creg.Count(metrics.CtrReadPageFromLookup)
+	if got := snap.RPC[metrics.RPCReadPage].Count; got+hits != want {
+		t.Errorf("server_rpc{read_page} %d + read_page_from_lookup %d = %d, want %d ReadPage calls", got, hits, got+hits, want)
+	}
+	if hits != want {
+		// Each client runs Lookup then ReadPage of the looked-up page
+		// back to back on its own connection: every read is a hit.
+		t.Errorf("read_page_from_lookup = %d, want %d", hits, want)
+	}
 	if got := snap.Count(metrics.CtrRPCError); got != 0 {
 		t.Errorf("server_rpc_error = %d, want 0", got)
 	}
-	// Every ReadPage RPC reads the page image from the disk layer.
+	// Every Lookup reads the object's page image from the disk layer.
 	if got := snap.Count(metrics.CtrDiskPageRead); got < want {
 		t.Errorf("disk_page_read = %d, want >= %d", got, want)
 	}

@@ -175,7 +175,9 @@ func TestOldServerFallback(t *testing.T) {
 // connection — mixed Lookup/ReadPage/WritePage plus a concurrent
 // transactional connection — and verifies every response matched its
 // request (content round-trips intact) and the server's per-RPC metrics
-// account for exactly the issued work. Run with -race in CI.
+// account for exactly the issued work: server read_page RPCs plus the
+// client's reads served from a Lookup's page equal its ReadPage calls.
+// Run with -race in CI.
 func TestPipelinedStress(t *testing.T) {
 	const workers = 8
 	const iters = 60
@@ -198,7 +200,8 @@ func TestPipelinedStress(t *testing.T) {
 	reg := metrics.New()
 	srv.SetMetrics(reg)
 
-	cl, err := Dial(srv.Addr().String())
+	creg := metrics.New()
+	cl, err := DialWith(srv.Addr().String(), DialOptions{Metrics: creg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +314,9 @@ func TestPipelinedStress(t *testing.T) {
 	if got := snap.RPC[metrics.RPCLookup].Count; got != wantLookups {
 		t.Errorf("server counted %d lookups, clients issued %d", got, wantLookups)
 	}
-	if got := snap.RPC[metrics.RPCReadPage].Count; got != reads.v() {
-		t.Errorf("server counted %d page reads, clients issued %d", got, reads.v())
+	hits := creg.Count(metrics.CtrReadPageFromLookup)
+	if got := snap.RPC[metrics.RPCReadPage].Count; got+hits != reads.v() {
+		t.Errorf("server counted %d page reads + %d served from lookups, clients issued %d", got, hits, reads.v())
 	}
 	if got := snap.RPC[metrics.RPCWritePage].Count; got != writes.v() {
 		t.Errorf("server counted %d page writes, clients issued %d", got, writes.v())

@@ -1087,19 +1087,40 @@ func (s *TCPServer) handleData(backend Server, op byte, payload []byte) ([]byte,
 }
 
 // handleDataFrame is the zero-copy variant of handleData used by the
-// pipelined path: page-shipping opcodes attach the borrowed page images to
-// the response frame instead of copying them into a contiguous payload
-// (the wire bytes are identical — the writer scatter-gathers the pieces).
-// Every other opcode falls through to handleData and rides in the frame's
-// inline payload.
+// pipelined path: page-shipping requests (ReadPage, ReadPages, and the
+// 9-byte Lookup that returns the object's page with its address) attach
+// the borrowed page images to the response frame instead of copying them
+// into a contiguous payload (the wire bytes are identical — the writer
+// scatter-gathers the pieces). Every other request falls through to
+// handleData and rides in the frame's inline payload.
 func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payload []byte, f *respFrame) error {
 	// Snapshot sessions read at a frozen LSN and are stale by design;
 	// their reads never register coherence interest.
 	if _, snap := backend.(*snapSession); snap {
 		cc = nil
 	}
-	switch op {
-	case opReadPage:
+	switch {
+	case op == opLookup && len(payload) == 9:
+		// The page-shipping Lookup: the OID plus a flag byte of 1. The
+		// object's page rides back with its address, read exactly as a
+		// following ReadPage would read it (locks, interest registration,
+		// validate-and-retry).
+		if payload[8] != 1 {
+			return errProtocol
+		}
+		addr, err := backend.Lookup(getOID(payload))
+		if err != nil {
+			return err
+		}
+		img, err := s.readPageCoherent(backend, cc, addr.Page)
+		if err != nil {
+			return err
+		}
+		putPAddr(f.scratch[:10], addr)
+		f.inline = f.scratch[:10]
+		f.pages = append(f.pages, img)
+		return nil
+	case op == opReadPage:
 		if len(payload) != 8 {
 			return errProtocol
 		}
@@ -1110,7 +1131,7 @@ func (s *TCPServer) handleDataFrame(backend Server, cc *cohConn, op byte, payloa
 		}
 		f.pages = append(f.pages, img)
 		return nil
-	case opReadPages:
+	case op == opReadPages:
 		if len(payload) != 12 {
 			return errProtocol
 		}

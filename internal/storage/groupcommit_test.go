@@ -417,6 +417,62 @@ func TestGroupCommitPoisonedWhileFsyncInFlight(t *testing.T) {
 	}
 }
 
+// TestGroupCommitDurableBatchSurvivesLaterPoison pins the interleaving in
+// which a batch is durable yet finds the WAL poisoned: batch A's fsync
+// stalls (and is skipped), batch B appends after A and fsyncs, advancing
+// the durable prefix past A's records, and batch C's fsync then fails and
+// poisons the WAL. Poisoning truncates only above the durable prefix, so
+// A's commit record stays in the file — A must report success, or
+// recovery would replay a commit reported failed.
+func TestGroupCommitDurableBatchSurvivesLaterPoison(t *testing.T) {
+	defer faultpoint.Reset()
+	dir := t.TempDir()
+	w, err := CreateWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := w.Offset()
+
+	// A (first batch fsync) is skipped after a stall; C (third) fails.
+	stall := faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, Skip: true, Delay: 200 * time.Millisecond, Times: 1})
+	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, After: 2, Times: 1})
+
+	aErr := make(chan error, 1)
+	go func() { aErr <- w.appendCommitBatch([]uint64{1}, nil, 0) }()
+	waitOffsetPast(t, w, start)
+	aEnd := w.Offset()
+	// A's records are appended; wait until its fsync is the one stalling.
+	for deadline := time.Now().Add(5 * time.Second); stall.Calls() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("batch A never reached its fsync")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	if err := w.appendCommitBatch([]uint64{2}, nil, 0); err != nil {
+		t.Fatalf("batch B: %v", err)
+	}
+	if w.SyncedOffset() <= aEnd {
+		t.Fatalf("batch B did not advance the durable prefix past A: synced %d, A ends at %d", w.SyncedOffset(), aEnd)
+	}
+	if err := w.appendCommitBatch([]uint64{3}, nil, 0); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("batch C under a failing fsync = %v, want injected error", err)
+	}
+	if err := <-aErr; err != nil {
+		t.Fatalf("batch A is inside the durable prefix but reported %v", err)
+	}
+	w.Close()
+
+	_, w2, info, err := RecoverManager(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if info.Committed != 2 {
+		t.Fatalf("recovered %d committed transactions, want 2 (A and B)", info.Committed)
+	}
+}
+
 // TestGroupCommitDisable pins the serial fallback: with group commit
 // explicitly disabled, CommitDurable must behave exactly like
 // AppendCommit (one record, one fsync, no writer goroutine involved).

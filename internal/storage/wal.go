@@ -359,11 +359,13 @@ func (w *WAL) syncSiteLocked(site string) error {
 // can fail or skip the shared fsync. Any failure poisons the WAL —
 // truncating the unsynced tail, see poisonLocked — and fails every
 // transaction in the batch, with two concurrency refinements resolved in
-// the post-fsync critical section: a batch whose fsync failed after a
-// concurrent batch's successful fsync already covered its records is
-// durable and reports success, and a batch that finds the WAL poisoned
-// (its records truncated out from under its in-flight fsync) reports
-// ErrWALBroken even if its own fsync succeeded. Either way no
+// the post-fsync critical section: a batch whose records a concurrent
+// batch's successful fsync already covered (end <= synced) is durable and
+// reports success, whether its own fsync failed or a later poisoning
+// happened while it was in flight, and a batch that finds the WAL
+// poisoned with its records above the durable prefix (truncated out from
+// under its in-flight fsync) reports ErrWALBroken even if its own fsync
+// succeeded. Either way no
 // transaction is ever reported failed while its commit record remains in
 // the file for a later sync — or the OS's own writeback — to resurrect.
 //
@@ -425,9 +427,19 @@ func (w *WAL) appendCommitBatch(txs []uint64, ph *CommitPhases, exemplar uint64)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken {
+		if end <= w.synced {
+			// Poisoned while our fsync was in flight, but a concurrent
+			// batch's successful fsync had already advanced the durable
+			// prefix past our records, and poisoning truncates only above
+			// that prefix: the records are durable and still in the file,
+			// so recovery will replay them. Report success — failing here
+			// would be the resurrection bug.
+			w.finishCommitBatch(txs, ph, exemplar, start, appendDone, fsyncDone)
+			return nil
+		}
 		// Poisoned while our fsync was in flight: the poisoner truncated
-		// the unsynced tail, which may include this batch's records, so
-		// even a successful fsync here proves nothing about them. Report
+		// the unsynced tail, which includes this batch's records, so even
+		// a successful fsync here proves nothing about them. Report
 		// failure without advancing synced or firing the hook — the
 		// records are gone from the file, so recovery cannot resurrect
 		// these transactions either.

@@ -85,6 +85,20 @@ func (f *Frame) MarkDirty() { f.dirty.Store(true) }
 // Pinned reports whether the frame is pinned.
 func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
 
+// Unpin releases one pin taken by Pool.Pin. Unpinning a frame with no
+// pins is reported as an error and changes nothing.
+func (f *Frame) Unpin() error {
+	for {
+		n := f.pins.Load()
+		if n == 0 {
+			return fmt.Errorf("buffer: unpin of unpinned page %v", f.pid)
+		}
+		if f.pins.CompareAndSwap(n, n-1) {
+			return nil
+		}
+	}
+}
+
 // EvictFn is called with a victim frame before it is written back and
 // dropped. The hook may mutate the page image and mark the frame dirty.
 type EvictFn func(pid page.PageID, f *Frame)
@@ -664,8 +678,9 @@ func (p *Pool) writeBack(pid page.PageID, f *Frame) error {
 	return nil
 }
 
-// Pin pins a buffered page against eviction.
-func (p *Pool) Pin(pid page.PageID) error {
+// Pin pins a buffered page against eviction and returns its frame; the
+// caller releases the pin with Frame.Unpin.
+func (p *Pool) Pin(pid page.PageID) (*Frame, error) {
 	sh := p.shard(pid)
 	sh.mu.RLock()
 	f := sh.m[pid]
@@ -675,26 +690,9 @@ func (p *Pool) Pin(pid page.PageID) error {
 	}
 	sh.mu.RUnlock()
 	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
+		return nil, fmt.Errorf("%w: %v", ErrNotHeld, pid)
 	}
-	return nil
-}
-
-// Unpin releases one pin.
-func (p *Pool) Unpin(pid page.PageID) error {
-	f := p.Peek(pid)
-	if f == nil {
-		return fmt.Errorf("%w: %v", ErrNotHeld, pid)
-	}
-	for {
-		n := f.pins.Load()
-		if n == 0 {
-			return fmt.Errorf("buffer: unpin of unpinned page %v", pid)
-		}
-		if f.pins.CompareAndSwap(n, n-1) {
-			return nil
-		}
-	}
+	return f, nil
 }
 
 // MarkDirty marks a buffered page dirty.

@@ -81,16 +81,21 @@ func TestPinPreventsEviction(t *testing.T) {
 	pool, _, pids := setup(t, 4, 2)
 	pool.Get(pids[0])
 	pool.Get(pids[1])
-	if err := pool.Pin(pids[0]); err != nil {
+	f0, err := pool.Pin(pids[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Pin(pids[1]); err != nil {
+	f1, err := pool.Pin(pids[1])
+	if err != nil {
 		t.Fatal(err)
+	}
+	if f0 != pool.Peek(pids[0]) || f1 != pool.Peek(pids[1]) {
+		t.Fatal("Pin returned a frame other than the buffered one")
 	}
 	if _, err := pool.Get(pids[2]); err == nil {
 		t.Fatal("fault with all frames pinned succeeded")
 	}
-	if err := pool.Unpin(pids[0]); err != nil {
+	if err := f0.Unpin(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pool.Get(pids[2]); err != nil {
@@ -102,12 +107,47 @@ func TestPinPreventsEviction(t *testing.T) {
 	if !pool.Contains(pids[1]) {
 		t.Error("pinned page evicted")
 	}
-	if err := pool.Unpin(pids[0]); err == nil {
+	if err := f0.Unpin(); err == nil {
 		t.Error("unpin of evicted page succeeded")
 	}
-	pool.Unpin(pids[1])
-	if err := pool.Unpin(pids[1]); err == nil {
+	if err := f1.Unpin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f1.Unpin(); err == nil {
 		t.Error("unpin below zero succeeded")
+	}
+	if f1.Pinned() {
+		t.Error("failed unpin left the frame pinned")
+	}
+}
+
+// TestEvictingFrameRefusesPin: while a frame's eviction hook runs the
+// frame is still visible to Peek, but Pin must refuse it — a pin taken
+// then would hold a page that is about to leave the pool.
+func TestEvictingFrameRefusesPin(t *testing.T) {
+	pool, _, pids := setup(t, 2, 1)
+	if _, err := pool.Get(pids[0]); err != nil {
+		t.Fatal(err)
+	}
+	var hooked bool
+	pool.OnEvict(func(pid page.PageID, f *Frame) {
+		hooked = true
+		if pool.Peek(pid) != f {
+			t.Error("evicting frame not visible to Peek")
+		}
+		if g, err := pool.Pin(pid); err == nil {
+			t.Error("Pin of a frame being evicted succeeded")
+			g.Unpin()
+		}
+	})
+	if _, err := pool.Get(pids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if !hooked {
+		t.Fatal("eviction hook did not run")
+	}
+	if pool.Contains(pids[0]) {
+		t.Error("victim survived its eviction")
 	}
 }
 
@@ -211,7 +251,7 @@ func TestErrorsSurface(t *testing.T) {
 	if err := pool.MarkDirty(page.NewPageID(0, 0)); err == nil {
 		t.Error("MarkDirty of unbuffered page succeeded")
 	}
-	if err := pool.Pin(page.NewPageID(0, 0)); err == nil {
+	if f, err := pool.Pin(page.NewPageID(0, 0)); err == nil || f != nil {
 		t.Error("Pin of unbuffered page succeeded")
 	}
 	if err := pool.Evict(page.NewPageID(0, 0)); err == nil {

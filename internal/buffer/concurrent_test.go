@@ -101,7 +101,7 @@ func TestConcurrentGetStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				pid := pids[(w*5+r)%npages]
-				f, err := pool.Get(pid)
+				_, err := pool.Get(pid)
 				if err == ErrNoFrames {
 					continue // every frame pinned by the other workers
 				}
@@ -109,13 +109,14 @@ func TestConcurrentGetStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := pool.Pin(pid); err != nil {
+				pf, err := pool.Pin(pid)
+				if err != nil {
 					continue // frame already evicted again: fine
 				}
-				if _, err := f.Page.Read(0); err != nil {
+				if _, err := pf.Page.Read(0); err != nil {
 					t.Error(err)
 				}
-				if err := pool.Unpin(pid); err != nil {
+				if err := pf.Unpin(); err != nil {
 					t.Error(err)
 				}
 			}

@@ -121,7 +121,8 @@ func TestEpochPinnedFrameNotRefreshed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Pin(pids[0]); err != nil {
+	pf, err := pool.Pin(pids[0])
+	if err != nil {
 		t.Fatal(err)
 	}
 	rewrite(t, mgr, pids[0], 0xee)
@@ -138,7 +139,7 @@ func TestEpochPinnedFrameNotRefreshed(t *testing.T) {
 		t.Fatalf("pinned frame's image was swapped under its pin: %#x", got)
 	}
 
-	if err := pool.Unpin(pids[0]); err != nil {
+	if err := pf.Unpin(); err != nil {
 		t.Fatal(err)
 	}
 	f3, err := pool.Get(pids[0])
@@ -172,16 +173,16 @@ func TestEpochRefreshPinRace(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if err := pool.Pin(pids[0]); err != nil {
+			f, err := pool.Pin(pids[0])
+			if err != nil {
 				continue // frame mid-eviction; retry
 			}
-			f := pool.Peek(pids[0])
 			if _, err := f.Page.Read(0); err != nil {
-				pool.Unpin(pids[0])
+				f.Unpin()
 				errCh <- err
 				return
 			}
-			if err := pool.Unpin(pids[0]); err != nil {
+			if err := f.Unpin(); err != nil {
 				errCh <- err
 				return
 			}

@@ -21,9 +21,10 @@
 // cost totals of a concurrent run identical to the same operations run
 // sequentially.
 //
-// Lock order: DRW reader slot → one OID latch (leaf) or descMu (leaf) →
-// package-internal locks (ROT shard, buffer shard). Writers take the DRW
-// alone and then own everything.
+// Lock order: DRW reader slot → one OID latch (leaf), descMu (leaf) or
+// varCtxMu (leaf) → package-internal locks (ROT shard, buffer shard,
+// varSet shard, scoreboard shard). Writers take the DRW alone and then own
+// everything.
 package core
 
 import (
@@ -43,22 +44,17 @@ const varShards = 16
 
 type varShard struct {
 	mu sync.Mutex
-	m  map[*Var]struct{}
-	_  [40]byte
+	vs []*Var
+	_  [32]byte
 }
 
 // varSet is the sharded registry of live program variables. Sequential mode
-// uses it too (the locks are uncontended there).
+// uses it too (the locks are uncontended there). Each shard keeps its
+// variables in a slice, and each Var records its index there (Var.idx,
+// guarded by the shard lock), so add and del are O(1) and allocation-free
+// once the slices have grown to the working set.
 type varSet struct {
 	shards [varShards]varShard
-}
-
-func newVarSet() *varSet {
-	vs := &varSet{}
-	for i := range vs.shards {
-		vs.shards[i].m = make(map[*Var]struct{})
-	}
-	return vs
 }
 
 func (vs *varSet) shard(v *Var) *varShard { return &vs.shards[v.slot&(varShards-1)] }
@@ -66,14 +62,25 @@ func (vs *varSet) shard(v *Var) *varShard { return &vs.shards[v.slot&(varShards-
 func (vs *varSet) add(v *Var) {
 	s := vs.shard(v)
 	s.mu.Lock()
-	s.m[v] = struct{}{}
+	v.idx = len(s.vs)
+	s.vs = append(s.vs, v)
 	s.mu.Unlock()
 }
 
+// del removes v by swapping the shard's last variable into its place. A
+// variable that is not registered (already deleted, or dropped by clear)
+// fails the identity check and is left alone.
 func (vs *varSet) del(v *Var) {
 	s := vs.shard(v)
 	s.mu.Lock()
-	delete(s.m, v)
+	if i := v.idx; i < len(s.vs) && s.vs[i] == v {
+		last := len(s.vs) - 1
+		moved := s.vs[last]
+		s.vs[i] = moved
+		moved.idx = i
+		s.vs[last] = nil
+		s.vs = s.vs[:last]
+	}
 	s.mu.Unlock()
 }
 
@@ -83,19 +90,19 @@ func (vs *varSet) snapshot() []*Var {
 	for i := range vs.shards {
 		s := &vs.shards[i]
 		s.mu.Lock()
-		for v := range s.m {
-			out = append(out, v)
-		}
+		out = append(out, s.vs...)
 		s.mu.Unlock()
 	}
 	return out
 }
 
+// clear drops every variable, keeping the shards' capacity.
 func (vs *varSet) clear() {
 	for i := range vs.shards {
 		s := &vs.shards[i]
 		s.mu.Lock()
-		s.m = make(map[*Var]struct{})
+		clear(s.vs)
+		s.vs = s.vs[:0]
 		s.mu.Unlock()
 	}
 }

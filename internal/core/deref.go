@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gom/internal/buffer"
 	"gom/internal/metrics"
 	"gom/internal/objcache"
 	"gom/internal/object"
@@ -107,13 +108,16 @@ func (om *OM) deref(slot object.Slot, strat swizzle.Strategy, score *metrics.Sco
 // withPinned pins the object (or its page) for the duration of fn, so that
 // faults performed inside fn cannot displace it while slots into it are
 // being manipulated.
-func (om *OM) withPinned(obj *object.MemObject, fn func() error) error {
+func (om *OM) withPinned(obj *object.MemObject, fn func() error) (err error) {
 	e := om.rot.Lookup(obj.OID)
 	if e == nil || e.Obj != obj {
 		return fn()
 	}
-	om.pinEntry(e)
-	defer om.unpinEntry(e)
+	f, err := om.pinEntry(e)
+	if err != nil {
+		return err
+	}
+	defer om.unpinEntry(e, f, &err)
 	return fn()
 }
 
@@ -233,7 +237,7 @@ func (om *OM) registerFault(obj *object.MemObject, addr storage.PAddr) (*object.
 
 // eagerScan swizzles every eager-granule reference of a freshly faulted
 // (or representation-fixed) object.
-func (om *OM) eagerScan(e *rot.Entry) error {
+func (om *OM) eagerScan(e *rot.Entry) (err error) {
 	obj := e.Obj
 	var slots []object.Slot
 	obj.Refs(func(s object.Slot) {
@@ -245,8 +249,11 @@ func (om *OM) eagerScan(e *rot.Entry) error {
 		return nil
 	}
 	om.primeHints(slots)
-	om.pinEntry(e)
-	defer om.unpinEntry(e)
+	f, err := om.pinEntry(e)
+	if err != nil {
+		return err
+	}
+	defer om.unpinEntry(e, f, &err)
 	for _, s := range slots {
 		// A previous iteration's snowball may have displaced nothing from
 		// this pinned object, but the slot may have been swizzled as part
@@ -302,21 +309,30 @@ func (om *OM) primeHints(slots []object.Slot) {
 }
 
 // pinEntry pins the object (copy architecture) or its page (page
-// architecture) against replacement.
-func (om *OM) pinEntry(e *rot.Entry) {
+// architecture) against replacement. In the page architecture it returns
+// the pinned frame; hand it to unpinEntry to release the pin.
+func (om *OM) pinEntry(e *rot.Entry) (*buffer.Frame, error) {
 	if om.cache != nil {
 		e.Obj.Pin()
-		return
+		return nil, nil
 	}
-	_ = om.pool.Pin(e.Addr.Page)
+	f, err := om.pool.Pin(e.Addr.Page)
+	if err != nil {
+		return nil, fmt.Errorf("core: pin %v for object %v: %w", e.Addr.Page, e.Obj.OID, err)
+	}
+	return f, nil
 }
 
-func (om *OM) unpinEntry(e *rot.Entry) {
-	if om.cache != nil {
+// unpinEntry releases the pin pinEntry took. A failed unpin is a broken
+// pin count; it is stored in *err unless the operation already failed.
+func (om *OM) unpinEntry(e *rot.Entry, f *buffer.Frame, err *error) {
+	if f == nil {
 		e.Obj.Unpin()
 		return
 	}
-	_ = om.pool.Unpin(e.Addr.Page)
+	if uerr := f.Unpin(); uerr != nil && *err == nil {
+		*err = uerr
+	}
 }
 
 // swizzleSlot converts an unswizzled slot to the strategy's representation

@@ -177,6 +177,134 @@ func TestDerefScoreboardZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTraversalVisitAllocs extends the zero-alloc contract to one whole
+// steady-state OO1 Traversal visit (§6.3): declare the level's two local
+// variables, follow connTo[i] and then to, read the part's x, y and type,
+// and free both variables. With the scoreboard and an unsampled tracer
+// live, the two Vars are the only allocations: resolving the variable
+// contexts, registering and unregistering the variables, and pinning the
+// home objects allocate nothing.
+func TestTraversalVisitAllocs(t *testing.T) {
+	for _, strat := range []swizzle.Strategy{swizzle.LDS, swizzle.LIS} {
+		t.Run(strat.String(), func(t *testing.T) {
+			b := buildBase(t, 10)
+			om := b.om(t, Options{Metrics: metrics.New(), Trace: trace.New(1<<30, 64)})
+			om.BeginApplication(appSpec(strat))
+			root := om.NewVar("troot", b.part)
+			if err := om.Load(root, b.parts[0]); err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			visit := func() {
+				cv := om.NewVar("tconn", b.conn)
+				pv := om.NewVar("tpart", b.part)
+				if err := om.ReadElem(root, "connTo", i%3, cv); err != nil {
+					t.Fatal(err)
+				}
+				if err := om.ReadRef(cv, "to", pv); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := om.ReadInt(pv, "x"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := om.ReadInt(pv, "y"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := om.ReadStr(pv, "type"); err != nil {
+					t.Fatal(err)
+				}
+				om.FreeVar(pv)
+				om.FreeVar(cv)
+				i++
+			}
+			for k := 0; k < 3; k++ {
+				visit() // warm up: fault each target, resolve the contexts
+			}
+			allocs := testing.AllocsPerRun(300, visit)
+			if allocs != 2 {
+				t.Errorf("steady-state traversal visit allocates %.1f objects, want 2 (the two Vars)", allocs)
+			}
+			if n := om.LiveVars(); n != 1 {
+				t.Errorf("live variables after the visits = %d, want 1 (the root)", n)
+			}
+			mustVerify(t, om)
+		})
+	}
+}
+
+// TestVarContextFollowsApplication: a variable context is resolved once
+// per application, so the same (type, name) pair takes the new spec's
+// strategy — and relabels its scoreboard row — after BeginApplication,
+// even though it was resolved under the previous spec.
+func TestVarContextFollowsApplication(t *testing.T) {
+	b := buildBase(t, 10)
+	reg := metrics.New()
+	om := b.om(t, Options{Metrics: reg})
+	om.BeginApplication(appSpec(swizzle.LDS))
+	if v := om.NewVar("p", b.part); v.Strategy() != swizzle.LDS {
+		t.Fatalf("strategy under LDS = %v", v.Strategy())
+	}
+	if got := reg.Score("Part", "$p").Strategy(); got != "LDS" {
+		t.Fatalf("$p row labelled %q under LDS", got)
+	}
+	if err := om.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	om.BeginApplication(appSpec(swizzle.LIS))
+	v := om.NewVar("p", b.part)
+	if v.Strategy() != swizzle.LIS {
+		t.Errorf("strategy after switching to LIS = %v", v.Strategy())
+	}
+	if got := reg.Score("Part", "$p").Strategy(); got != "LIS" {
+		t.Errorf("$p row labelled %q after switching to LIS", got)
+	}
+	// Counting goes to the same row: the handle is the registry's.
+	before := reg.Score("Part", "$p").Count(metrics.ScoreDeref)
+	if err := om.Load(v, b.parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := om.Deref(v); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Score("Part", "$p").Count(metrics.ScoreDeref) - before; got != 1 {
+		t.Errorf("$p deref count rose by %d, want 1", got)
+	}
+}
+
+// TestVarContextFollowsMetrics: SetMetrics drops the resolved contexts,
+// so variables declared after it count into the new registry, and
+// variables declared before it keep counting into the old one.
+func TestVarContextFollowsMetrics(t *testing.T) {
+	b := buildBase(t, 10)
+	oldReg := metrics.New()
+	om := b.om(t, Options{Metrics: oldReg})
+	om.BeginApplication(appSpec(swizzle.LIS))
+	early := om.NewVar("p", b.part)
+	if err := om.Load(early, b.parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	newReg := metrics.New()
+	om.SetMetrics(newReg)
+	late := om.NewVar("p", b.part)
+	if err := om.Load(late, b.parts[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Var{early, late, late} {
+		if err := om.Deref(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := newReg.Score("Part", "$p").Count(metrics.ScoreDeref); got != 2 {
+		t.Errorf("new registry $p derefs = %d, want 2", got)
+	}
+	if got := newReg.Score("Part", "$p").Strategy(); got != "LIS" {
+		t.Errorf("new registry $p row labelled %q, want LIS", got)
+	}
+	if got := oldReg.Score("Part", "$p").Count(metrics.ScoreDeref); got != 1 {
+		t.Errorf("old registry $p derefs = %d, want 1", got)
+	}
+}
+
 // BenchmarkDerefNoMetrics measures the steady-state dereference path with
 // no registry installed; BenchmarkDerefWithMetrics is the same workload
 // with every hook live. Comparing them bounds the cost of the always-on

@@ -147,7 +147,12 @@ type OM struct {
 	// vars is the registry of live program variables (the "run-time
 	// stack" the displacement logic must reach, §5.3), sharded so
 	// concurrent NewVar/FreeVar don't contend on one lock.
-	vars *varSet
+	vars varSet
+	// varCtxs holds the variable contexts resolved in the current
+	// application (varContext); nil until the first NewVar after
+	// BeginApplication or SetMetrics. varCtxMu serializes additions.
+	varCtxs  atomic.Pointer[varCtxTab]
+	varCtxMu sync.Mutex
 	// displacing guards displacement cascades against cycles.
 	displacing map[oid.OID]bool
 	// pagewise selects page-level reverse references (§5.3); pageRRL maps
@@ -227,7 +232,6 @@ func New(opt Options) (*OM, error) {
 		spec:       swizzle.NewSpec("default", swizzle.NOS),
 		descs:      make(map[oid.OID]*object.Descriptor),
 		byPage:     make(map[page.PageID][]*object.MemObject),
-		vars:       newVarSet(),
 		displacing: make(map[oid.OID]bool),
 		addrHints:  make(map[oid.OID]storage.PAddr),
 
@@ -285,6 +289,7 @@ func (om *OM) SetMetrics(r *metrics.Registry) {
 	om.pool.SetMetrics(r)
 	om.buildScoreTab()
 	om.labelScoreStrategies()
+	om.varCtxs.Store(nil)
 }
 
 // Schema returns the schema.
@@ -353,6 +358,7 @@ func (om *OM) BeginApplication(spec *swizzle.Spec) {
 	}
 	om.spec = spec
 	om.labelScoreStrategies()
+	om.varCtxs.Store(nil)
 }
 
 // releaseVars unregisters every live variable's swizzling bookkeeping and
@@ -503,6 +509,75 @@ type Var struct {
 	// uses it to pick DRW reader slots and meter stripes so independent
 	// goroutines' variables spread across locks and cache lines.
 	slot uint32
+	// idx is the variable's position in its varSet shard (guarded by the
+	// shard lock).
+	idx int
+}
+
+// varCtx is one program-variable context of the current application: a
+// (declared type, name) pair with the strategy the spec installs for it
+// and its scoreboard handle.
+type varCtx struct {
+	typ      *object.Type
+	name     string
+	strategy swizzle.Strategy
+	score    *metrics.Score
+}
+
+// varCtxTab is an immutable snapshot of the resolved variable contexts,
+// indexed by declared type ID. Adding a context publishes a new table
+// that shares every row but the one it extends.
+type varCtxTab [][]varCtx
+
+// find scans the declared type's row, a handful of names at most.
+func (t *varCtxTab) find(name string, typ *object.Type) (varCtx, bool) {
+	if t == nil || int(typ.ID) >= len(*t) {
+		return varCtx{}, false
+	}
+	row := (*t)[typ.ID]
+	for i := range row {
+		if row[i].typ == typ && row[i].name == name {
+			return row[i], true
+		}
+	}
+	return varCtx{}, false
+}
+
+// varContext returns the context of variables with this name and declared
+// type, resolving it on the first NewVar of the pair in an application.
+// The lookup is lock-free: one atomic load and a scan of the type's row.
+func (om *OM) varContext(name string, typ *object.Type) varCtx {
+	if c, ok := om.varCtxs.Load().find(name, typ); ok {
+		return c
+	}
+	return om.addVarContext(name, typ)
+}
+
+// addVarContext resolves a variable context from the active spec, labels
+// its scoreboard row with the strategy, and publishes it. Callers hold a
+// DRW reader slot or the writer lock, so the spec and registry are fixed.
+func (om *OM) addVarContext(name string, typ *object.Type) varCtx {
+	om.varCtxMu.Lock()
+	defer om.varCtxMu.Unlock()
+	old := om.varCtxs.Load()
+	if c, ok := old.find(name, typ); ok {
+		return c // added while we waited for the lock
+	}
+	c := varCtx{typ: typ, name: name, strategy: om.spec.ForVar(name, typ.Name)}
+	if om.obs != nil {
+		c.score = om.obs.Score(typ.Name, "$"+name)
+		c.score.SetStrategy(c.strategy.String())
+	}
+	var prev varCtxTab
+	if old != nil {
+		prev = *old
+	}
+	tab := make(varCtxTab, max(len(prev), int(typ.ID)+1))
+	copy(tab, prev)
+	row := tab[typ.ID]
+	tab[typ.ID] = append(row[:len(row):len(row)], c)
+	om.varCtxs.Store(&tab)
+	return c
 }
 
 // NewVar declares a program variable with a name and a declared target
@@ -513,14 +588,16 @@ func (om *OM) NewVar(name string, typ *object.Type) *Var {
 		rs := om.mu.RLock(int(v.slot))
 		defer om.mu.RUnlock(rs)
 	}
-	v.strategy = om.spec.ForVar(name, typ.Name)
-	if om.obs != nil {
-		v.score = om.obs.Score(typ.Name, "$"+name)
-		v.score.SetStrategy(v.strategy.String())
-	}
+	c := om.varContext(name, typ)
+	v.strategy, v.score = c.strategy, c.score
 	om.vars.add(v)
 	return v
 }
+
+// LiveVars returns the number of live program variables: those created by
+// NewVar and not yet freed or released by Commit, BeginApplication,
+// Reset or Discard.
+func (om *OM) LiveVars() int { return len(om.vars.snapshot()) }
 
 // FreeVar releases a variable before the application ends (leaving a
 // scope). Its swizzling bookkeeping is unregistered.

@@ -17,7 +17,7 @@ import (
 // direct pointers that the object manager can no longer trap on, so the
 // representations of all directly referenced objects are investigated —
 // and fixed — recursively (§4.1.2).
-func (om *OM) fixRepresentation(obj *object.MemObject) error {
+func (om *OM) fixRepresentation(obj *object.MemObject) (err error) {
 	if !obj.Stale {
 		return nil
 	}
@@ -45,8 +45,11 @@ func (om *OM) fixRepresentation(obj *object.MemObject) error {
 	if len(slots) == 0 {
 		return nil
 	}
-	om.pinEntry(e)
-	defer om.unpinEntry(e)
+	f, err := om.pinEntry(e)
+	if err != nil {
+		return err
+	}
+	defer om.unpinEntry(e, f, &err)
 
 	for _, s := range slots {
 		desired := om.spec.ForSlot(s)

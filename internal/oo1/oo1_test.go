@@ -1,12 +1,16 @@
 package oo1
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
 	"gom/internal/core"
+	"gom/internal/oid"
+	"gom/internal/server"
 	"gom/internal/sim"
+	"gom/internal/storage"
 	"gom/internal/swizzle"
 )
 
@@ -277,6 +281,63 @@ func TestTraversalVisitCount(t *testing.T) {
 		}
 		if err := c.OM.Verify(); err != nil {
 			t.Fatalf("%v: %v", strat, err)
+		}
+	}
+}
+
+var errInjectedLookup = errors.New("injected lookup failure")
+
+// failNthLookup is a Server whose Lookup fails once, on the failAt-th call
+// after it is armed (failAt > 0); every other call goes through.
+type failNthLookup struct {
+	server.Server
+	failAt, calls int
+}
+
+func (s *failNthLookup) Lookup(id oid.OID) (storage.PAddr, error) {
+	if s.failAt > 0 {
+		s.calls++
+		if s.calls == s.failAt {
+			return storage.PAddr{}, errInjectedLookup
+		}
+	}
+	return s.Server.Lookup(id)
+}
+
+// TestTraversalFailureFreesVars fails a cold Traversal at each of its
+// first object faults in turn. Wherever the failure lands (the ReadElem
+// or ReadRef of a level, or a visit's field reads), the Traversal must
+// free every variable it declared: the live-variable count returns to its
+// pre-Traversal value, and no RRL entry or descriptor fan-in of a freed
+// variable survives (Verify).
+func TestTraversalFailureFreesVars(t *testing.T) {
+	db, err := Generate(smallCfg(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []swizzle.Strategy{swizzle.LDS, swizzle.LIS} {
+		for failAt := 1; failAt <= 40; failAt++ {
+			srv := &failNthLookup{Server: db.Srv}
+			c, err := NewClient(db, core.Options{Server: srv}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Begin(swizzle.NewSpec("t", strat))
+			if err := c.Lookup(); err != nil { // opens the extents
+				t.Fatal(err)
+			}
+			before := c.OM.LiveVars()
+			srv.failAt = failAt
+			_, err = c.Traversal(4)
+			if !errors.Is(err, errInjectedLookup) {
+				t.Fatalf("%v, failure at lookup %d: Traversal err = %v, want the injected failure", strat, failAt, err)
+			}
+			if got := c.OM.LiveVars(); got != before {
+				t.Errorf("%v, failure at lookup %d: %d live variables after the failed Traversal, want %d", strat, failAt, got, before)
+			}
+			if err := c.OM.Verify(); err != nil {
+				t.Fatalf("%v, failure at lookup %d: %v", strat, failAt, err)
+			}
 		}
 	}
 }

@@ -198,23 +198,31 @@ func (c *Client) traverse(p *core.Var, depth, extraLookups int) (int, error) {
 		return visits, err
 	}
 	for i := 0; i < n; i++ {
-		cv := c.OM.NewVar("tconn", c.DB.Conn)
-		pv := c.OM.NewVar("tpart", c.DB.Part)
-		if err := c.OM.ReadElem(p, "connTo", i, cv); err != nil {
-			return visits, err
-		}
-		if err := c.OM.ReadRef(cv, "to", pv); err != nil {
-			return visits, err
-		}
-		sub, err := c.traverse(pv, depth-1, extraLookups)
+		sub, err := c.visitConn(p, i, depth, extraLookups)
 		visits += sub
-		c.OM.FreeVar(pv)
-		c.OM.FreeVar(cv)
 		if err != nil {
 			return visits, err
 		}
 	}
 	return visits, nil
+}
+
+// visitConn follows the i-th connTo of p into its part and traverses from
+// there, holding the level's two local variables. Both are freed on every
+// path, part first, so an error leaves no variable (and none of its RRL
+// or descriptor bookkeeping) behind.
+func (c *Client) visitConn(p *core.Var, i, depth, extraLookups int) (int, error) {
+	cv := c.OM.NewVar("tconn", c.DB.Conn)
+	pv := c.OM.NewVar("tpart", c.DB.Part)
+	defer c.OM.FreeVar(cv)
+	defer c.OM.FreeVar(pv)
+	if err := c.OM.ReadElem(p, "connTo", i, cv); err != nil {
+		return 0, err
+	}
+	if err := c.OM.ReadRef(cv, "to", pv); err != nil {
+		return 0, err
+	}
+	return c.traverse(pv, depth-1, extraLookups)
 }
 
 // ReverseTraversal finds all parts connected TO a random part, and the

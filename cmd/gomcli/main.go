@@ -8,8 +8,7 @@
 //	gomcli lookup -oid 1:42 base.gom
 //	gomcli serve -addr :7070 base.gom
 //	gomcli serve -tx -addr :7070 base.gom     # transactional (2PL + abort)
-//	gomcli serve -tx -wal walDir base.gom     # durable: group-committed fsync-on-commit
-//	gomcli serve -tx -wal walDir -serial-commit base.gom  # one fsync per commit
+//	gomcli serve -tx -wal walDir base.gom     # durable: concurrent commits share one fsync
 //	gomcli serve -debug :7071 base.gom        # expose /debug/metrics + pprof
 //	gomcli traverse -depth 5 -strategy LIS base.gom
 //	gomcli traverse -addr 127.0.0.1:7070 -snapshot base.gom  # MVCC snapshot read over TCP
@@ -226,9 +225,6 @@ func cmdServe(args []string) error {
 	tx := fs.Bool("tx", false, "serve transactionally (per-connection Begin/Commit/Abort, strict 2PL)")
 	lockTimeout := fs.Duration("lock-timeout", 2*time.Second, "lock wait timeout (deadlock resolution, with -tx)")
 	walDir := fs.String("wal", "", "write-ahead-log directory: commits fsync a log there and survive crashes (requires -tx); existing durable state in the directory supersedes the base file")
-	commitBudget := fs.Duration("commit-budget", 0, "fixed group-commit linger: wait this long for more committers before each fsync (0 = adaptive, capped at 1ms; requires -wal)")
-	commitBatch := fs.Int("commit-batch", 0, "cap on commit records per group-commit fsync (0 = default 256; requires -wal)")
-	serialCommit := fs.Bool("serial-commit", false, "disable group commit: every transaction appends and fsyncs its own commit record (requires -wal)")
 	snapshotCap := fs.Int64("snapshot-cap", 0, "retained version-store bytes cap: new snapshot transactions are refused while more history is pinned (0 = unbounded; requires -tx)")
 	coherent := fs.Bool("coherence", false, "enable callback/lease cache coherence: reads register per-page interest and commits push invalidation callbacks to the other interested clients")
 	coherenceCap := fs.Int("coherence-cap", 0, "interest-table bound in (page, client) registrations; oldest registrations past it are revoked (0 = default 64Ki; requires -coherence)")
@@ -241,12 +237,6 @@ func cmdServe(args []string) error {
 	}
 	if *walDir != "" && !*tx {
 		return fmt.Errorf("serve: -wal requires -tx (durability is a property of the transaction layer)")
-	}
-	if *walDir == "" && (*serialCommit || *commitBudget != 0 || *commitBatch != 0) {
-		return fmt.Errorf("serve: -serial-commit, -commit-budget and -commit-batch configure the commit pipeline and require -wal")
-	}
-	if *serialCommit && (*commitBudget != 0 || *commitBatch != 0) {
-		return fmt.Errorf("serve: -serial-commit excludes -commit-budget and -commit-batch")
 	}
 	if *snapshotCap != 0 && !*tx {
 		return fmt.Errorf("serve: -snapshot-cap requires -tx (snapshots are a property of the transaction layer)")
@@ -284,14 +274,6 @@ func cmdServe(args []string) error {
 				return err
 			}
 			fmt.Printf("seeded %s with a snapshot of %s (epoch %d)\n", *walDir, fs.Arg(0), w.Epoch())
-		}
-		if *serialCommit {
-			w.DisableGroupCommit()
-		} else {
-			w.EnableGroupCommit(storage.GroupCommitOptions{
-				MaxBatch: *commitBatch,
-				Budget:   *commitBudget,
-			})
 		}
 	}
 	ln, err := net.Listen("tcp", *addr)

@@ -17,9 +17,10 @@ func init() {
 }
 
 // runGroupCommit measures the WAL commit pipeline under concurrent
-// committers: serial (each commit appends and fsyncs on its own, the
-// fsync-on-commit design group commit replaced) against group (commits
-// coalesce into one append+fsync via the WAL writer goroutine). Each
+// committers: serial (a bench-local mutex lets one committer at a time
+// through its append and commit, so every commit pays its own fsync — the
+// fsync-on-commit design group commit replaced) against group (concurrent
+// commits coalesce into one append+fsync under a leader). Each
 // committer runs a closed loop of one small redo record (a 27-byte POT
 // put — the smallest real record, so the shared fsync, not log
 // bandwidth, is the measured cost) followed by a durable commit.
@@ -44,7 +45,7 @@ func runGroupCommit(o Opts) (*Result, error) {
 		Title:  "Commit throughput under concurrent committers",
 		Header: []string{"workers", "serial tx/s", "group tx/s", "speedup", "mean batch", "p99 flush µs"},
 		Notes: []string{
-			"serial = append+fsync per commit; group = commits coalesced by the WAL writer into one fsync",
+			"serial = one committer at a time (one commit per fsync); group = concurrent commits coalesced by the commit leader into one fsync",
 			"each tx logs one 27-byte redo record then commits: the fsync is the cost under study",
 			"mean batch = commit records per group flush; p99 flush = batch append+fsync latency",
 		},
@@ -87,13 +88,9 @@ func groupCommitMode(group bool, workers int, dur time.Duration) (float64, float
 	defer w.Close()
 	reg := metrics.New()
 	w.SetMetrics(reg)
-	if group {
-		w.EnableGroupCommit(storage.GroupCommitOptions{})
-	} else {
-		w.DisableGroupCommit()
-	}
 
 	var (
+		serial   sync.Mutex // held across append+commit when !group
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
@@ -122,15 +119,15 @@ func groupCommitMode(group bool, workers int, dur time.Duration) (float64, float
 			for time.Now().Before(stop) {
 				// Distinct tx ids per committer; the log is throwaway.
 				tx := uint64(i+1)<<32 | uint64(n+1)
-				if err := w.AppendPotPut(tx, id, addr); err != nil {
-					fail(err)
-					return
+				if !group {
+					serial.Lock()
 				}
-				var err error
-				if group {
+				err := w.AppendPotPut(tx, id, addr)
+				if err == nil {
 					err = w.CommitDurable(tx)
-				} else {
-					err = w.AppendCommit(tx)
+				}
+				if !group {
+					serial.Unlock()
 				}
 				if err != nil {
 					fail(err)

@@ -229,7 +229,6 @@ func obsCommitPair(workers, slices int, slice time.Duration) (off, on float64, e
 			reg.SetSlowLog(metrics.NewSlowLog(10*time.Second, 64, nil))
 			w.SetMetrics(reg)
 		}
-		w.EnableGroupCommit(storage.GroupCommitOptions{})
 		return w, nil
 	}
 	walOff, err := mkWAL("off", false)

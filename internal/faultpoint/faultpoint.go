@@ -30,20 +30,18 @@ const (
 	// DiskRead / DiskWrite guard the simulated disk's page I/O.
 	DiskRead  = "disk.read"
 	DiskWrite = "disk.write"
-	// WALAppend and WALSync guard write-ahead-log appends (CheckWrite —
-	// torn writes tear the record at a byte offset) and fsyncs (CheckSync —
-	// a skipped sync silently loses everything after the last durable
-	// offset at the next crash).
+	// WALAppend guards write-ahead-log redo appends (CheckWrite — torn
+	// writes tear the record at a byte offset).
 	WALAppend = "wal.append"
-	WALSync   = "wal.sync"
-	// Group-commit sites. WALBatchAppend guards the group committer's
-	// multi-record commit append (CheckWrite — a torn write can cut inside
-	// any record of the batch, a partial-batch torn write). WALBatchSync
-	// guards the batch's single fsync (CheckSync — an error fails every
-	// transaction in the batch, a Skip loses the whole batch at the next
-	// crash). WALWriterStall is checked by the dedicated log-writer
-	// goroutine before it flushes a batch — arm a Delay to stall the writer
-	// and force commit arrivals to pile into larger batches.
+	// Group-commit sites. WALBatchAppend guards the commit batch's
+	// multi-record append (CheckWrite — a torn write can cut inside any
+	// record of the batch, a partial-batch torn write). WALBatchSync
+	// guards the batch's single fsync, the only commit fsync (CheckSync —
+	// an error fails every transaction in the batch, a Skip silently loses
+	// everything after the last durable offset at the next crash).
+	// WALWriterStall is checked by the commit leader before it flushes a
+	// batch — arm a Delay to stall the log writer and force commit
+	// arrivals to pile into larger batches.
 	WALBatchAppend = "wal.batchappend"
 	WALBatchSync   = "wal.batchsync"
 	WALWriterStall = "wal.writerstall"

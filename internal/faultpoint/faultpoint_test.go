@@ -12,7 +12,7 @@ func TestDisarmedSitesAreInert(t *testing.T) {
 	if err := Check(DiskRead); err != nil {
 		t.Fatal(err)
 	}
-	if skip, err := CheckSync(WALSync); skip || err != nil {
+	if skip, err := CheckSync(WALBatchSync); skip || err != nil {
 		t.Fatalf("skip=%v err=%v", skip, err)
 	}
 	if n, err := CheckWrite(WALAppend, 100); n != 100 || err != nil {
@@ -109,12 +109,12 @@ func TestOutrightWriteFailure(t *testing.T) {
 
 func TestSkipSync(t *testing.T) {
 	defer Reset()
-	a := Arm(Fault{Site: WALSync, Skip: true, Times: 1})
-	skip, err := CheckSync(WALSync)
+	a := Arm(Fault{Site: WALBatchSync, Skip: true, Times: 1})
+	skip, err := CheckSync(WALBatchSync)
 	if !skip || err != nil {
 		t.Fatalf("skip=%v err=%v", skip, err)
 	}
-	skip, err = CheckSync(WALSync)
+	skip, err = CheckSync(WALBatchSync)
 	if skip || err != nil {
 		t.Fatalf("after Times exhausted: skip=%v err=%v", skip, err)
 	}
@@ -159,7 +159,7 @@ func TestConcurrentChecksAndArms(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				Check(DiskRead)
 				CheckWrite(WALAppend, 10)
-				CheckSync(WALSync)
+				CheckSync(WALBatchSync)
 			}
 		}()
 	}

@@ -298,9 +298,9 @@ const (
 	// amortizes its flush across every member).
 	//
 	// HistPhaseEnqueueWait is the time a commit spent queued before its
-	// batch's flush began (near zero on the inline lone-committer path).
+	// batch's flush began (near zero for a lone committer, which leads).
 	HistPhaseEnqueueWait
-	// HistPhaseLinger is how long the group-commit writer held a batch
+	// HistPhaseLinger is how long the group-commit leader held a batch
 	// open gathering cohort members before flushing it.
 	HistPhaseLinger
 	// HistPhaseAppend covers WAL lock acquisition, commit-frame

@@ -29,7 +29,7 @@ func waitPendingCommits(t *testing.T, w *storage.WAL, n int) {
 }
 
 // TestGroupCommitBatchCrashPointSweep builds one deterministic four-
-// transaction group-commit batch (the writer is held while the commits
+// transaction group-commit batch (the leader is held while the commits
 // queue), then cuts the log at every byte across the whole batch region —
 // every record boundary and every torn byte inside every record of the
 // batch. Recovery must surface exactly the transactions whose commit

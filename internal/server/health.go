@@ -10,16 +10,16 @@ import (
 
 // Default cadence and stall horizon for the server watchdog. A check
 // round every healthInterval keeps /healthz no staler than half a
-// second; a WAL writer that has neither completed a cycle nor finished
-// its current flush within healthStallAfter is reported stalled.
+// second; a commit leader whose cycle has not finished within
+// healthStallAfter is reported stalled.
 const (
 	healthInterval   = 500 * time.Millisecond
 	healthStallAfter = 2 * time.Second
 )
 
-// commitQueueDegradedFrac: the commit_queue check degrades when pending
-// enqueued commits reach this fraction of the queue capacity.
-const commitQueueDegradedFrac = 0.5
+// commitQueueDegradedAt: the commit_queue check degrades when this many
+// commits are waiting for or inside a flush — twice what one flush takes.
+const commitQueueDegradedAt = 512
 
 // versionBytesDegradedFrac: the version_store check degrades when
 // retained before-image bytes reach this fraction of the configured cap.
@@ -49,47 +49,37 @@ func (s *TCPServer) HealthChecks(stallAfter time.Duration) []health.Check {
 	}
 }
 
-// walWriterHealth judges the group-commit writer's liveness: a flush in
-// progress for longer than stallAfter, or enqueued commits with no
-// completed writer cycle for longer than stallAfter, is a stall. An idle
-// writer (nothing pending) is healthy no matter how old its last beat.
+// walWriterHealth judges the log writer's liveness from the commit
+// leader's heartbeats: a leader cycle (gather, append, fsync) running for
+// longer than stallAfter is a stall. Committers are queued only while a
+// leader is in a cycle, so an idle WAL is healthy no matter how old its
+// last beat.
 func walWriterHealth(w *storage.WAL, stallAfter time.Duration, now time.Time) (health.Status, string) {
 	if w == nil {
 		return health.OK, "no WAL attached"
 	}
 	st := w.GroupCommitStatus()
-	if !st.Running {
-		return health.OK, "serial commit mode"
-	}
 	if !st.BusySince.IsZero() {
 		if busy := now.Sub(st.BusySince); busy > stallAfter {
 			return health.Stalled, fmt.Sprintf("flush in progress for %v (stall horizon %v)", busy.Round(time.Millisecond), stallAfter)
 		}
 	}
-	if st.Pending > 0 && !st.LastBeat.IsZero() {
-		if idle := now.Sub(st.LastBeat); idle > stallAfter {
-			return health.Stalled, fmt.Sprintf("%d commits pending, no writer cycle for %v", st.Pending, idle.Round(time.Millisecond))
-		}
-	}
 	if st.LastBeat.IsZero() {
-		return health.OK, "writer started, no cycles yet"
+		return health.OK, "no flush yet"
 	}
-	return health.OK, fmt.Sprintf("last cycle %v ago, %d pending", now.Sub(st.LastBeat).Round(time.Millisecond), st.Pending)
+	return health.OK, fmt.Sprintf("last flush %v ago, %d pending", now.Sub(st.LastBeat).Round(time.Millisecond), st.Pending)
 }
 
-// commitQueueHealth degrades when the group-commit queue is at or above
-// half capacity — commits are arriving faster than the writer drains
-// them, the precursor of enqueue-wait tail latency.
+// commitQueueHealth degrades when commitQueueDegradedAt or more commits
+// are pending — commits are arriving faster than flushes drain them, the
+// precursor of enqueue-wait tail latency.
 func commitQueueHealth(w *storage.WAL) (health.Status, string) {
 	if w == nil {
 		return health.OK, "no WAL attached"
 	}
 	st := w.GroupCommitStatus()
-	if !st.Running {
-		return health.OK, "serial commit mode"
-	}
-	detail := fmt.Sprintf("%d/%d pending", st.Pending, st.QueueCap)
-	if st.QueueCap > 0 && float64(st.Pending) >= commitQueueDegradedFrac*float64(st.QueueCap) {
+	detail := fmt.Sprintf("%d pending (degraded at %d)", st.Pending, commitQueueDegradedAt)
+	if st.Pending >= commitQueueDegradedAt {
 		return health.Degraded, detail
 	}
 	return health.OK, detail

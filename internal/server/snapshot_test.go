@@ -179,7 +179,7 @@ func TestSnapshotWritesRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotBatchBoundaryVisibility holds the group-commit writer so two
+// TestSnapshotBatchBoundaryVisibility holds the group-commit leader so two
 // transactions land in one durable batch, and asserts all-or-nothing
 // snapshot visibility: a snapshot begun mid-flight sees neither update; a
 // snapshot begun after the batch sees both. A snapshot must never observe

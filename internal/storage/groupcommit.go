@@ -3,56 +3,56 @@ package storage
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gom/internal/faultpoint"
 	"gom/internal/metrics"
 )
 
-// Group commit (DESIGN.md "Durability"): a dedicated log-writer goroutine
-// owns the append+fsync of commit records. Committers enqueue a request
-// and block; the writer coalesces every request that arrived while the
-// previous fsync was running into one multi-record append followed by a
-// single fsync, then wakes all waiters with the shared durability result.
+// Group commit (DESIGN.md "Durability"): leader/follower batching with
+// one flush in flight. A committer adds its transaction to the pending
+// queue. The first committer that finds no flush in progress becomes the
+// leader: it gathers everything queued into one multi-record append
+// followed by a single fsync, on its own stack, then wakes its followers
+// with the shared durability result and promotes the oldest committer
+// that queued meanwhile to lead the next batch. At most one batch is ever
+// between append and fsync verdict; redo appends keep flowing while that
+// fsync is on the device, and the commits they reach queue for the next
+// batch.
 //
-// Batching starts "natural": while a flush is on the device, arriving
-// commits queue and the next drain picks them all up, so the fsync
-// duration itself gates batch growth. On top of that the writer lingers
-// adaptively: when the previous flush carried company (or commits are
-// already queued), it waits up to half the observed flush cost — capped
-// at 1ms — for stragglers, absorbing the arrival spread of committers
-// that woke from the last batch and are racing through their next
-// transaction. A lone committer never lingers and pays exactly one
-// append+fsync. An explicit Budget overrides the adaptive linger.
+// Batching starts "natural": commits arriving during a flush form the
+// next batch, so the fsync duration itself gates batch growth. On top of
+// that the leader lingers adaptively: when the previous flush carried
+// company (or commits are already queued), it waits up to half the
+// observed flush cost — capped at 1ms — for stragglers, absorbing the
+// arrival spread of committers that woke from the last batch and are
+// racing through their next transaction. A lone committer never lingers
+// and pays exactly one append+fsync.
 //
-// Failure semantics match the serial path: when the batch's append or
-// fsync fails, every transaction in the batch gets the error, none is
-// reported durable, and the WAL is poisoned (ErrWALBroken) until
-// recovery — commit records already in the file must not be resurrected
-// by a later successful fsync after their commits were reported failed.
+// When the batch's append or fsync fails, every transaction in the batch
+// gets the error, none is reported durable, and the WAL is poisoned
+// (ErrWALBroken) until recovery — commit records already in the file must
+// not be resurrected by a later successful fsync after their commits
+// were reported failed.
 
-// GroupCommitOptions configures the group-commit pipeline.
-type GroupCommitOptions struct {
-	// MaxBatch caps how many commit records one flush coalesces.
-	// 0 means the default (256).
-	MaxBatch int
-	// Budget is the linger: after the writer picks up the first commit
-	// of a batch it waits up to Budget for more to arrive before
-	// flushing. 0 (the default) means adaptive — the writer lingers up
-	// to half the EWMA flush cost, and only when the previous flush
-	// carried more than one commit or commits are already queued, so a
-	// lone committer never waits. An explicit Budget fixes the linger
-	// instead. Capped at 1ms either way.
-	Budget time.Duration
-}
+// GroupCommitOptions is empty: group commit has no knobs, every WAL
+// batches its commits from creation. The type and EnableGroupCommit stay
+// so that callers of the former configuration API — the perfbench
+// harness, kept unchanged so its runs compare across versions — still
+// compile.
+type GroupCommitOptions struct{}
+
+// EnableGroupCommit is a no-op kept for source compatibility; see
+// GroupCommitOptions.
+func (w *WAL) EnableGroupCommit(GroupCommitOptions) {}
 
 const (
-	defaultGroupMaxBatch = 256
-	maxGroupBudget       = time.Millisecond
-	groupQueueDepth      = 1024
+	// maxGroupBatch caps how many commit records one flush coalesces.
+	maxGroupBatch = 256
+	// maxGroupBudget caps the adaptive linger.
+	maxGroupBudget = time.Millisecond
 	// spinLingerMax bounds the busy-wait linger: up to this budget the
-	// writer spins with Gosched (runtime timers cannot resolve the
+	// leader spins with Gosched (runtime timers cannot resolve the
 	// microsecond gaps being waited out); above it the wait blocks on a
 	// timer so a sustained commit load does not pin a core for up to 1ms
 	// per flush.
@@ -68,7 +68,7 @@ const (
 type CommitPhases struct {
 	EnqueuedAt    int64 // when the commit entered the pipeline
 	EnqueueWaitNS int64 // queued until its batch's flush began
-	LingerNS      int64 // how long the writer gathered the batch
+	LingerNS      int64 // how long the leader gathered the batch
 	AppendAt      int64
 	AppendNS      int64 // WAL lock + frame build + buffered write
 	FsyncAt       int64
@@ -79,7 +79,8 @@ type CommitPhases struct {
 }
 
 // commitReq is one transaction waiting for its commit record to be
-// durable.
+// durable. done is nil for the committer that led from the start; a
+// follower receives its verdict on it, or a promotion to lead.
 type commitReq struct {
 	tx      uint64
 	traceID uint64 // exemplar candidate for the batch's histograms
@@ -87,327 +88,178 @@ type commitReq struct {
 	done    chan commitResult
 }
 
-// commitResult is the batch outcome delivered to each waiter.
+// commitResult is delivered to a follower: its batch's outcome, or lead
+// set when it must flush the next batch itself.
 type commitResult struct {
 	phases CommitPhases
 	err    error
+	lead   bool
 }
 
-// groupCommitter is the writer goroutine plus its queue. One per WAL,
-// created on first CommitDurable (or explicitly via EnableGroupCommit).
+// groupCommitter is the leader/follower state of one WAL. mu guards
+// everything but the adaptive-linger fields, which only the current
+// leader touches (leadership passes under mu or over a done channel, so
+// each leader sees its predecessor's writes).
 type groupCommitter struct {
-	w    *WAL
-	opts GroupCommitOptions
+	mu      sync.Mutex
+	queue   []commitReq // FIFO; the leader's own request is at the head
+	leading bool        // some committer holds the leader role
+	pending int         // committers enqueued and not yet given a verdict
+	hold    chan struct{}
+	arrive  chan struct{} // signalled by followers; wakes a timed linger
 
-	reqs chan commitReq
-	stop chan struct{} // closed first: senders must stop entering
-	quit chan struct{} // closed once senders drained: writer exits
-	wg   sync.WaitGroup
+	// Heartbeats for the health watchdog (GroupCommitStatus): busySince is
+	// when the current leader's cycle began (zero while no one leads),
+	// beat when the last flush completed.
+	busySince time.Time
+	beat      time.Time
 
-	enterMu sync.Mutex
-	closed  bool
-	senders sync.WaitGroup
-
-	pending  atomic.Int64
-	entrants atomic.Int64 // committers currently inside commit()
-	inline   atomic.Bool  // a lone committer is flushing on its own stack
-
-	// Heartbeat state for the health watchdog (GroupCommitStatus): beat
-	// is the Unix-ns time the writer last completed a cycle; busySince is
-	// nonzero while a flush (writer-goroutine or inline) is in progress,
-	// set before the WALWriterStall faultpoint so injected stalls are
-	// visible as a long-running busy flush.
-	beat      atomic.Int64
-	busySince atomic.Int64
-
-	// Adaptive-linger state, touched only by the writer goroutine.
 	avgFlushNS int64 // EWMA of flush duration
 	lastBatch  int   // size of the previous flush
-
-	holdMu sync.Mutex
-	hold   chan struct{} // test hook: non-nil while flushing is held
 }
 
-// commit enqueues tx and waits for the batch result. ok=false means the
-// committer is shutting down and the caller must retry against the WAL's
-// current configuration (serial fallback or a replacement committer).
-// traceID, when nonzero, exemplar-stamps the phase histograms this
-// commit's batch observes.
-func (g *groupCommitter) commit(tx uint64, traceID uint64) (ok bool, ph CommitPhases, err error) {
+// CommitDurable makes tx's commit record durable. Commits arriving while
+// a flush is in progress coalesce into the next batch and share its
+// fsync.
+func (w *WAL) CommitDurable(tx uint64) error {
+	_, err := w.CommitDurablePhases(tx, 0)
+	return err
+}
+
+// CommitDurablePhases is CommitDurable with the flight record: it
+// returns where the commit's time went, stage by stage, and stamps the
+// phase histograms' exemplars with traceID when nonzero.
+func (w *WAL) CommitDurablePhases(tx uint64, traceID uint64) (CommitPhases, error) {
+	g := &w.gc
 	enq := time.Now()
-	g.enterMu.Lock()
-	if g.closed {
-		g.enterMu.Unlock()
-		return false, ph, nil
+	g.mu.Lock()
+	g.pending++
+	if !g.leading {
+		g.leading = true
+		g.busySince = enq
+		g.queue = append(g.queue, commitReq{tx: tx, traceID: traceID, enq: enq})
+		g.mu.Unlock()
+		return w.lead(false)
 	}
-	g.senders.Add(1)
-	g.enterMu.Unlock()
-	g.entrants.Add(1)
-	if g.tryInline() {
-		// The inline committer is acting as the log writer, so writer
-		// faults (slow/descheduled log writer) apply here too: commits
-		// arriving during the stall enqueue — the entrants count keeps
-		// them out of the inline path — and coalesce behind the writer
-		// goroutine exactly as they would behind a stalled flush.
-		g.busySince.Store(enq.UnixNano())
-		_ = faultpoint.Check(faultpoint.WALWriterStall)
-		ph = CommitPhases{
-			EnqueuedAt:    enq.UnixNano(),
-			EnqueueWaitNS: time.Since(enq).Nanoseconds(),
-		}
-		err := g.w.appendCommitBatch([]uint64{tx}, &ph, traceID)
-		if err == nil {
-			obs := g.w.Metrics()
-			obs.ObserveHistTrace(metrics.HistPhaseEnqueueWait, ph.EnqueueWaitNS, traceID)
-			obs.ObserveHistTrace(metrics.HistPhaseLinger, 0, traceID)
-		}
-		g.beat.Store(time.Now().UnixNano())
-		g.busySince.Store(0)
-		g.inline.Store(false)
-		g.entrants.Add(-1)
-		g.senders.Done()
-		return true, ph, err
-	}
-	req := commitReq{tx: tx, traceID: traceID, enq: enq, done: make(chan commitResult, 1)}
+	done := make(chan commitResult, 1)
+	g.queue = append(g.queue, commitReq{tx: tx, traceID: traceID, enq: enq, done: done})
+	g.mu.Unlock()
 	select {
-	case g.reqs <- req:
-	case <-g.stop:
-		g.entrants.Add(-1)
-		g.senders.Done()
-		return false, ph, nil
+	case g.arrive <- struct{}{}:
+	default:
 	}
-	g.pending.Add(1)
-	g.senders.Done()
-	res := <-req.done
-	g.pending.Add(-1)
-	g.entrants.Add(-1)
-	return true, res.phases, res.err
+	res := <-done
+	if res.lead {
+		// A commit was waiting when the previous flush finished:
+		// committers arrive at least as fast as flushes complete.
+		return w.lead(true)
+	}
+	return res.phases, res.err
 }
 
-// tryInline decides whether a committer may flush on its own stack
-// instead of handing off to the writer goroutine. A lone committer —
-// adaptive mode, no other committer inside commit(), nothing pending or
-// queued, no test hold — pays one append+fsync directly, skipping the
-// channel round trip and the writer wake-up (the queue-handoff penalty
-// the single-committer benchmark row used to show). Any doubt sends it
-// through the queue: concurrent appendCommitBatch calls are safe (w.mu
-// serializes, synced advances by max), so a lost race costs only a
-// missed coalescing opportunity, never correctness. The entrants count
-// is the load-bearing signal — a committer blocked in its inline fsync
-// keeps it elevated, so arrivals during that fsync enqueue and coalesce
-// behind the writer instead of serializing through here one fsync each.
-// The caller holds a senders slot, so shutdown cannot pass it by.
-func (g *groupCommitter) tryInline() bool {
-	if g.opts.Budget != 0 {
-		return false // an explicit linger budget asks for coalescing
-	}
-	if g.entrants.Load() != 1 || g.pending.Load() != 0 || len(g.reqs) != 0 || g.holding() {
-		return false
-	}
-	if !g.inline.CompareAndSwap(false, true) {
-		return false
-	}
-	// Re-check under the flag: a committer may have arrived between the
-	// first look and the CAS; join the batch instead of racing it.
-	if g.entrants.Load() != 1 || g.pending.Load() != 0 || len(g.reqs) != 0 || g.holding() {
-		g.inline.Store(false)
-		return false
-	}
-	return true
+// lead runs one leader cycle: gather the batch, flush it, hand the
+// leader role on, and wake the followers. The leader's own request heads
+// the queue, so it heads its batch too.
+func (w *WAL) lead(busy bool) (CommitPhases, error) {
+	// A stall here models a slow or descheduled log writer: commits keep
+	// arriving and pile into one large batch (arm a Delay at
+	// faultpoint.WALWriterStall). busySince is already set, so the health
+	// watchdog sees the stall as an overlong busy cycle.
+	_ = faultpoint.Check(faultpoint.WALWriterStall)
+	lingerStart := time.Now()
+	batch := w.gather(busy)
+	return w.flush(batch, time.Since(lingerStart))
 }
 
-// holding reports whether the test hold is armed.
-func (g *groupCommitter) holding() bool {
-	g.holdMu.Lock()
-	h := g.hold != nil
-	g.holdMu.Unlock()
-	return h
-}
-
-// shutdown stops the writer after flushing everything already queued.
-// Safe to call more than once.
-func (g *groupCommitter) shutdown() {
-	g.enterMu.Lock()
-	if g.closed {
-		g.enterMu.Unlock()
-		return
+// gather takes the next batch off the queue: while the test hold is set
+// it waits; with a linger budget it waits for stragglers; then it takes
+// up to maxGroupBatch requests.
+func (w *WAL) gather(busy bool) []commitReq {
+	g := &w.gc
+	g.mu.Lock()
+	for g.hold != nil {
+		h := g.hold
+		g.mu.Unlock()
+		<-h // released; re-check (a test may hold again immediately)
+		g.mu.Lock()
 	}
-	g.closed = true
-	g.enterMu.Unlock()
-	close(g.stop)
-	g.senders.Wait() // every in-flight enqueue has landed or aborted
-	close(g.quit)
-	g.wg.Wait()
-}
-
-// run is the writer loop: block for the first commit, gather the batch,
-// flush, repeat.
-func (g *groupCommitter) run() {
-	defer g.wg.Done()
-	for {
-		var first commitReq
-		// busy: a commit was already waiting when the previous flush
-		// finished — committers are arriving at least as fast as the
-		// writer flushes, so lingering for company is worthwhile even
-		// when the previous batch happened to carry only one.
-		busy := true
-		select {
-		case first = <-g.reqs:
-		default:
-			busy = false
-			select {
-			case first = <-g.reqs:
-			case <-g.quit:
-				if batch := g.drainQueued(nil); len(batch) > 0 {
-					g.flush(batch, 0)
-				}
-				return
-			}
-		}
-		// A stall here models a slow or descheduled log writer: commits
-		// keep arriving and pile into one large batch (arm a Delay at
-		// faultpoint.WALWriterStall). busySince is already set, so the
-		// health watchdog sees the stall as an overlong busy cycle.
-		g.busySince.Store(time.Now().UnixNano())
-		_ = faultpoint.Check(faultpoint.WALWriterStall)
-		lingerStart := time.Now()
-		batch := g.gather([]commitReq{first}, busy)
-		g.flush(batch, time.Since(lingerStart))
-		g.beat.Store(time.Now().UnixNano())
-		g.busySince.Store(0)
+	if budget := g.lingerBudget(busy, len(g.queue)); budget > 0 {
+		seen := len(g.queue)
+		g.mu.Unlock()
+		g.linger(budget, seen)
+		g.mu.Lock()
 	}
-}
-
-// gather grows the batch: while the test hold is set it collects without
-// flushing; with a linger budget it waits for stragglers; finally it
-// drains whatever queued while the writer was busy, up to MaxBatch.
-func (g *groupCommitter) gather(batch []commitReq, busy bool) []commitReq {
-	for {
-		g.holdMu.Lock()
-		hold := g.hold
-		g.holdMu.Unlock()
-		if hold == nil {
-			break
-		}
-		select {
-		case r := <-g.reqs:
-			batch = append(batch, r)
-		case <-hold:
-			// Released; re-check (a test may hold again immediately).
-		case <-g.quit:
-			return g.drainQueued(batch)
-		}
-	}
-	if budget := g.lingerBudget(busy); budget > 0 {
-		// The linger is gap-based: each arrival proves more committers
-		// are in flight and extends the wait; the first pause in the
-		// stream ends it, and the total budget bounds the added latency
-		// even under a continuous trickle. Small budgets (under
-		// spinLingerMax) yield the processor rather than arming a timer —
-		// runtime timers cannot resolve the microsecond gaps being waited
-		// out — while larger budgets block on a timer so the writer does
-		// not burn a core for up to 1ms per flush under sustained load.
-		// Either way the wait exits immediately once the previous flush's
-		// cohort has fully re-arrived.
-		spin := budget <= spinLingerMax
-		gap := budget / 4
-		deadline := time.Now().Add(budget)
-		gapEnd := time.Now().Add(gap)
-	linger:
-		for len(batch) < g.opts.MaxBatch {
-			if g.lastBatch > 1 && len(batch) >= g.lastBatch {
-				// Cohort complete: everyone who shared the last flush
-				// is aboard; lingering further only adds latency.
-				break
-			}
-			if spin {
-				select {
-				case r := <-g.reqs:
-					batch = append(batch, r)
-					gapEnd = time.Now().Add(gap)
-				case <-g.quit:
-					return g.drainQueued(batch)
-				default:
-					now := time.Now()
-					if !now.Before(gapEnd) || !now.Before(deadline) {
-						break linger
-					}
-					runtime.Gosched()
-				}
-				continue
-			}
-			wake := gapEnd
-			if deadline.Before(wake) {
-				wake = deadline
-			}
-			wait := time.Until(wake)
-			if wait <= 0 {
-				break linger
-			}
-			t := time.NewTimer(wait)
-			select {
-			case r := <-g.reqs:
-				t.Stop()
-				batch = append(batch, r)
-				gapEnd = time.Now().Add(gap)
-			case <-t.C:
-				break linger
-			case <-g.quit:
-				t.Stop()
-				return g.drainQueued(batch)
-			}
-		}
-	}
-	for len(batch) < g.opts.MaxBatch {
-		select {
-		case r := <-g.reqs:
-			batch = append(batch, r)
-		default:
-			return batch
-		}
-	}
+	n := min(len(g.queue), maxGroupBatch)
+	batch := g.queue[:n:n]
+	g.queue = g.queue[n:]
+	g.mu.Unlock()
 	return batch
 }
 
-// lingerBudget sizes the wait for stragglers. An explicit opts.Budget
-// wins; otherwise the budget adapts to the log device: half the EWMA
-// flush cost (capped at maxGroupBudget), and only on evidence of
-// concurrent committers worth waiting for — the previous flush carried
-// more than one commit, a commit was already waiting when that flush
-// finished (busy), or commits are queued right now. A lone committer
-// sees budget 0 and flushes immediately.
-func (g *groupCommitter) lingerBudget(busy bool) time.Duration {
-	if g.opts.Budget > 0 {
-		return g.opts.Budget
-	}
-	if !busy && g.lastBatch <= 1 && len(g.reqs) == 0 {
+// lingerBudget sizes the wait for stragglers: half the EWMA flush cost
+// (capped at maxGroupBudget), and only on evidence of concurrent
+// committers worth waiting for — the previous flush carried more than
+// one commit, a commit was already waiting when that flush finished
+// (busy), or commits besides the leader's are queued right now. A lone
+// committer sees budget 0 and flushes immediately.
+func (g *groupCommitter) lingerBudget(busy bool, queued int) time.Duration {
+	if !busy && g.lastBatch <= 1 && queued <= 1 {
 		return 0
 	}
-	b := time.Duration(g.avgFlushNS / 2)
-	if b > maxGroupBudget {
-		b = maxGroupBudget
-	}
-	return b
+	return min(time.Duration(g.avgFlushNS/2), maxGroupBudget)
 }
 
-// drainQueued empties the queue without blocking (shutdown path: every
-// sender has finished enqueueing by the time quit closes).
-func (g *groupCommitter) drainQueued(batch []commitReq) []commitReq {
-	for {
+// linger waits for stragglers. It is gap-based: each arrival proves more
+// committers are in flight and extends the wait; the first pause in the
+// stream ends it, and the total budget bounds the added latency even
+// under a continuous trickle. Small budgets (up to spinLingerMax) yield
+// the processor rather than arming a timer — runtime timers cannot
+// resolve the microsecond gaps being waited out — while larger budgets
+// block on a timer so the leader does not burn a core for up to 1ms per
+// flush under sustained load. Either way the wait ends as soon as the
+// previous flush's cohort has fully re-arrived.
+func (g *groupCommitter) linger(budget time.Duration, seen int) {
+	gap := budget / 4
+	deadline := time.Now().Add(budget)
+	gapEnd := time.Now().Add(gap)
+	for seen < maxGroupBatch && !(g.lastBatch > 1 && seen >= g.lastBatch) {
+		g.mu.Lock()
+		n := len(g.queue)
+		g.mu.Unlock()
+		now := time.Now()
+		if n > seen {
+			seen = n
+			gapEnd = now.Add(gap)
+			continue
+		}
+		wake := gapEnd
+		if deadline.Before(wake) {
+			wake = deadline
+		}
+		if !now.Before(wake) {
+			return
+		}
+		if budget <= spinLingerMax {
+			runtime.Gosched()
+			continue
+		}
+		t := time.NewTimer(wake.Sub(now))
 		select {
-		case r := <-g.reqs:
-			batch = append(batch, r)
-		default:
-			return batch
+		case <-g.arrive:
+			t.Stop()
+		case <-t.C:
 		}
 	}
 }
 
-// flush writes the batch as one append+fsync and wakes every waiter with
-// the shared result plus its flight record. linger is how long gather
-// held the batch open (observed once per batch; a member's enqueue wait
-// is its own queued time, measured here against the flush start).
-func (g *groupCommitter) flush(batch []commitReq, linger time.Duration) {
+// flush writes the batch as one append+fsync, passes the leader role to
+// the oldest queued committer (if any), and wakes every follower with the
+// shared result plus its flight record; the leader's own result is
+// returned. linger is how long gather held the batch open (observed once
+// per batch; a member's enqueue wait is its own queued time, measured
+// here against the flush start).
+func (w *WAL) flush(batch []commitReq, linger time.Duration) (CommitPhases, error) {
+	g := &w.gc
 	txs := make([]uint64, len(batch))
 	exemplar := uint64(0)
 	for i, r := range batch {
@@ -418,182 +270,87 @@ func (g *groupCommitter) flush(batch []commitReq, linger time.Duration) {
 	}
 	start := time.Now()
 	ph := CommitPhases{LingerNS: linger.Nanoseconds()}
-	err := g.w.appendCommitBatch(txs, &ph, exemplar)
-	dur := time.Since(start).Nanoseconds()
+	err := w.appendCommitBatch(txs, &ph, exemplar)
+	end := time.Now()
 	// EWMA with alpha 1/4 feeds the adaptive linger.
-	g.avgFlushNS += (dur - g.avgFlushNS) / 4
+	g.avgFlushNS += (end.Sub(start).Nanoseconds() - g.avgFlushNS) / 4
 	g.lastBatch = len(batch)
-	obs := g.w.Metrics()
+
+	g.mu.Lock()
+	g.pending -= len(batch)
+	g.beat = end
+	var next chan commitResult
+	if len(g.queue) > 0 {
+		next = g.queue[0].done
+		g.busySince = end
+	} else {
+		g.leading = false
+		g.busySince = time.Time{}
+	}
+	g.mu.Unlock()
+	if next != nil {
+		next <- commitResult{lead: true}
+	}
+
+	obs := w.Metrics()
 	if err == nil {
 		obs.ObserveHistTrace(metrics.HistPhaseLinger, ph.LingerNS, exemplar)
 	}
-	for _, r := range batch {
-		res := commitResult{phases: ph, err: err}
-		res.phases.EnqueuedAt = r.enq.UnixNano()
-		if wait := start.Sub(r.enq).Nanoseconds(); wait > 0 {
-			res.phases.EnqueueWaitNS = wait
-		}
+	var own CommitPhases
+	for i, r := range batch {
+		p := ph
+		p.EnqueuedAt = r.enq.UnixNano()
+		p.EnqueueWaitNS = max(start.Sub(r.enq).Nanoseconds(), 0)
 		if err == nil {
-			obs.ObserveHistTrace(metrics.HistPhaseEnqueueWait, res.phases.EnqueueWaitNS, r.traceID)
+			obs.ObserveHistTrace(metrics.HistPhaseEnqueueWait, p.EnqueueWaitNS, r.traceID)
 		}
-		r.done <- res
-	}
-}
-
-// EnableGroupCommit starts (or reconfigures) the group-commit pipeline.
-// An existing writer is drained and replaced.
-func (w *WAL) EnableGroupCommit(opts GroupCommitOptions) {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = defaultGroupMaxBatch
-	}
-	if opts.Budget < 0 {
-		opts.Budget = 0
-	}
-	if opts.Budget > maxGroupBudget {
-		opts.Budget = maxGroupBudget
-	}
-	g := &groupCommitter{
-		w:    w,
-		opts: opts,
-		reqs: make(chan commitReq, groupQueueDepth),
-		stop: make(chan struct{}),
-		quit: make(chan struct{}),
-	}
-	g.beat.Store(time.Now().UnixNano())
-	g.wg.Add(1)
-	go g.run()
-
-	w.gcMu.Lock()
-	old := w.gc
-	w.gc = g
-	w.gcConfigured = true
-	w.gcMu.Unlock()
-	if old != nil {
-		old.shutdown()
-	}
-}
-
-// DisableGroupCommit drains and stops the pipeline; CommitDurable then
-// uses the serial append+fsync path. Sticky: CommitDurable will not
-// restart the writer until EnableGroupCommit is called again.
-func (w *WAL) DisableGroupCommit() {
-	w.gcMu.Lock()
-	old := w.gc
-	w.gc = nil
-	w.gcConfigured = true
-	w.gcMu.Unlock()
-	if old != nil {
-		old.shutdown()
-	}
-}
-
-// CommitDurable makes tx's commit record durable: through the
-// group-commit pipeline (started with default options on first use), or
-// via the serial AppendCommit path when group commit has been explicitly
-// disabled. This is the commit entry point for concurrent committers —
-// requests arriving while a flush is in progress coalesce into the next
-// batch and share its fsync.
-func (w *WAL) CommitDurable(tx uint64) error {
-	_, err := w.CommitDurablePhases(tx, 0)
-	return err
-}
-
-// CommitDurablePhases is CommitDurable with the flight record: it
-// returns where the commit's time went, stage by stage, and stamps the
-// phase histograms' exemplars with traceID when nonzero. The serial
-// (group-commit-disabled) path reports no stage decomposition beyond its
-// batch of one.
-func (w *WAL) CommitDurablePhases(tx uint64, traceID uint64) (CommitPhases, error) {
-	for {
-		w.gcMu.RLock()
-		g, configured := w.gc, w.gcConfigured
-		w.gcMu.RUnlock()
-		if g == nil {
-			if configured {
-				return CommitPhases{BatchSize: 1}, w.AppendCommit(tx)
-			}
-			w.EnableGroupCommit(GroupCommitOptions{})
+		if i == 0 {
+			own = p
 			continue
 		}
-		ok, ph, err := g.commit(tx, traceID)
-		if !ok {
-			// The committer shut down while we enqueued; retry against
-			// the WAL's current configuration.
-			continue
-		}
-		return ph, err
+		r.done <- commitResult{phases: p, err: err}
 	}
+	return own, err
 }
 
-// GroupCommitStatus is a point-in-time view of the group-commit writer,
-// consumed by the health watchdog: a writer that has been busy on one
-// flush for much longer than a flush should take, or that has commits
-// pending but has not completed a cycle recently, is stalled.
+// GroupCommitStatus is a point-in-time view of the commit leader,
+// consumed by the health watchdog: a leader cycle that has run much
+// longer than a flush should take is a stalled log writer.
 type GroupCommitStatus struct {
-	Running   bool      // a group-commit writer is installed
 	Pending   int       // commits enqueued or being flushed
-	QueueCap  int       // capacity of the request queue
-	LastBeat  time.Time // last completed writer cycle (zero: never)
-	BusySince time.Time // start of the in-progress flush (zero: idle)
+	LastBeat  time.Time // last completed flush (zero: never)
+	BusySince time.Time // start of the current leader cycle (zero: idle)
 }
 
-// GroupCommitStatus reports the writer's heartbeat state.
+// GroupCommitStatus reports the leader's heartbeat state.
 func (w *WAL) GroupCommitStatus() GroupCommitStatus {
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	st := GroupCommitStatus{QueueCap: groupQueueDepth}
-	if g == nil {
-		return st
-	}
-	st.Running = true
-	st.Pending = int(g.pending.Load())
-	if b := g.beat.Load(); b != 0 {
-		st.LastBeat = time.Unix(0, b)
-	}
-	if b := g.busySince.Load(); b != 0 {
-		st.BusySince = time.Unix(0, b)
-	}
-	return st
+	g := &w.gc
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return GroupCommitStatus{Pending: g.pending, LastBeat: g.beat, BusySince: g.busySince}
 }
 
-// HoldGroupCommit pauses the writer's flushing (test hook): commit
-// requests accumulate into one batch until ReleaseGroupCommit, giving
-// crash tests a deterministic multi-transaction batch.
+// HoldGroupCommit pauses flushing (test hook): the leader gathers commit
+// requests into one batch until ReleaseGroupCommit, giving crash tests a
+// deterministic multi-transaction batch.
 func (w *WAL) HoldGroupCommit() {
-	w.gcMu.RLock()
-	configured := w.gcConfigured
-	w.gcMu.RUnlock()
-	if !configured {
-		w.EnableGroupCommit(GroupCommitOptions{})
-	}
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	if g == nil {
-		return
-	}
-	g.holdMu.Lock()
+	g := &w.gc
+	g.mu.Lock()
 	if g.hold == nil {
 		g.hold = make(chan struct{})
 	}
-	g.holdMu.Unlock()
+	g.mu.Unlock()
 }
 
-// ReleaseGroupCommit lets a held writer flush the accumulated batch.
+// ReleaseGroupCommit lets a held leader flush the accumulated batch.
 func (w *WAL) ReleaseGroupCommit() {
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	if g == nil {
-		return
-	}
-	g.holdMu.Lock()
+	g := &w.gc
+	g.mu.Lock()
 	if g.hold != nil {
 		close(g.hold)
 		g.hold = nil
 	}
-	g.holdMu.Unlock()
+	g.mu.Unlock()
 }
 
 // PendingCommits returns how many commit requests are enqueued or being
@@ -601,11 +358,8 @@ func (w *WAL) ReleaseGroupCommit() {
 // order is FIFO, so polling PendingCommits between sends fixes the
 // record order inside the batch).
 func (w *WAL) PendingCommits() int {
-	w.gcMu.RLock()
-	g := w.gc
-	w.gcMu.RUnlock()
-	if g == nil {
-		return 0
-	}
-	return int(g.pending.Load())
+	g := &w.gc
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.pending
 }

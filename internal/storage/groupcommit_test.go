@@ -12,9 +12,9 @@ import (
 	"gom/internal/metrics"
 )
 
-// waitPending polls until n commit requests are queued at the (held)
-// group committer — the deterministic way to build a batch with a known
-// record order.
+// waitPending polls until n commit requests are pending (queued behind
+// or led by a held leader) — the deterministic way to build a batch with
+// a known record order.
 func waitPending(t *testing.T, w *WAL, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -28,7 +28,8 @@ func waitPending(t *testing.T, w *WAL, n int) {
 
 // holdBatch enqueues txs 1..n against a held group committer and returns
 // a function that releases the batch and collects the per-commit results
-// (FIFO enqueue order = record order in the batch).
+// (FIFO enqueue order = record order in the batch; the first committer
+// leads and waits out the hold).
 func holdBatch(t *testing.T, w *WAL, n int) func() []error {
 	t.Helper()
 	w.HoldGroupCommit()
@@ -49,7 +50,7 @@ func holdBatch(t *testing.T, w *WAL, n int) func() []error {
 	}
 }
 
-// TestGroupCommitBatchesOneFsync holds the writer, queues five commits,
+// TestGroupCommitBatchesOneFsync holds the leader, queues five commits,
 // releases, and asserts the batch became one append+fsync carrying five
 // commit records in enqueue order.
 func TestGroupCommitBatchesOneFsync(t *testing.T) {
@@ -111,13 +112,10 @@ func TestGroupCommitBatchesOneFsync(t *testing.T) {
 // far fewer than 32 fsyncs. The start barrier makes the committers truly
 // concurrent — without it a scheduling hiccup can split the burst, and
 // commits that genuinely arrive one at a time are entitled to one fsync
-// each (the inline lone-committer path); that is not what this test is
-// about. The stall covers whichever committer acts as the log writer
-// first — the writer goroutine or an inline committer — and everyone
-// else piles into the next batch while it sleeps. Times is 2 because the
-// first fire may be consumed by an inline committer: the second then
-// catches the writer goroutine's first flush, and by the time either
-// 20ms stall ends every remaining committer has enqueued.
+// each; that is not what this test is about. The stall catches the first
+// leader before it gathers, and everyone else queues behind it while it
+// sleeps. Times is 2 so that a committer descheduled past the first 20ms
+// stall still finds the next leader stalled and the rest queued with it.
 func TestGroupCommitNaturalBatchingUnderStall(t *testing.T) {
 	defer faultpoint.Reset()
 	w, err := CreateWAL(t.TempDir())
@@ -127,7 +125,6 @@ func TestGroupCommitNaturalBatchingUnderStall(t *testing.T) {
 	defer w.Close()
 	reg := metrics.New()
 	w.SetMetrics(reg)
-	w.EnableGroupCommit(GroupCommitOptions{})
 
 	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALWriterStall, Delay: 20 * time.Millisecond, Times: 2})
 	const n = 32
@@ -189,8 +186,8 @@ func TestGroupCommitBatchTornWriteSweep(t *testing.T) {
 					t.Fatalf("commit %d reported durable through a torn batch append", i+1)
 				}
 			}
-			if err := w.AppendCommit(99); !errors.Is(err, ErrWALBroken) {
-				t.Fatalf("append after torn batch = %v, want ErrWALBroken", err)
+			if err := w.CommitDurable(99); !errors.Is(err, ErrWALBroken) {
+				t.Fatalf("commit after torn batch = %v, want ErrWALBroken", err)
 			}
 			path := w.Path()
 			w.Close()
@@ -242,11 +239,11 @@ func TestGroupCommitSyncFailurePoisons(t *testing.T) {
 		t.Fatalf("durable prefix advanced across a failed fsync: %d != %d", w.SyncedOffset(), syncedAt)
 	}
 	// Poisoned: no later append or sync may quietly make the batch durable.
-	if err := w.AppendCommit(99); !errors.Is(err, ErrWALBroken) {
+	if err := w.AppendAbort(99); !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("append after failed batch fsync = %v, want ErrWALBroken", err)
 	}
-	if err := w.Sync(); !errors.Is(err, ErrWALBroken) {
-		t.Fatalf("Sync after failed batch fsync = %v, want ErrWALBroken", err)
+	if err := w.CommitDurable(99); !errors.Is(err, ErrWALBroken) {
+		t.Fatalf("commit after failed batch fsync = %v, want ErrWALBroken", err)
 	}
 	path := w.Path()
 	w.Close()
@@ -266,7 +263,7 @@ func TestGroupCommitSyncFailurePoisons(t *testing.T) {
 }
 
 // TestGroupCommitLostFsyncLosesBatch: a *skipped* batch fsync (the device
-// lied) reports success, matching the serial path's lost-fsync contract —
+// lied) reports success, as a lost fsync always does —
 // and a crash at the durable prefix then loses the whole batch at once.
 func TestGroupCommitLostFsyncLosesBatch(t *testing.T) {
 	defer faultpoint.Reset()
@@ -314,8 +311,8 @@ func TestGroupCommitLostFsyncLosesBatch(t *testing.T) {
 }
 
 // waitOffsetPast polls until the log's logical end moves past off — the
-// sign that a concurrent committer's append has landed and it is now in
-// (or headed into) its fsync.
+// sign that a committer's append has landed and it is now in (or headed
+// into) its fsync.
 func waitOffsetPast(t *testing.T, w *WAL, off int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -327,58 +324,106 @@ func waitOffsetPast(t *testing.T, w *WAL, off int64) {
 	}
 }
 
-// TestGroupCommitFailedFsyncCoveredByConcurrentSync: batch A's fsync
-// stalls and then fails, but while it is on the device a serial commit
-// appends after A's records and fsyncs successfully. fsync covers the
-// whole file, so that sync made A's commit records durable before A's own
-// failed verdict arrived — A must report success (failing it would be the
-// resurrection bug in reverse: a transaction reported failed whose commit
-// record recovery replays), the WAL stays healthy, and recovery sees both
-// transactions committed.
-func TestGroupCommitFailedFsyncCoveredByConcurrentSync(t *testing.T) {
+// TestGroupCommitOneFlushInFlight pins the pipeline's invariant: at most
+// one batch is between append and fsync verdict. Commit A's fsync stalls
+// on the device (a 100ms delay; Skip makes it report success, since a
+// plain delay fault also fails the fsync after sleeping); commits B and C
+// arrive during the stall. Neither may append its commit record or reach
+// a fsync before A's verdict — they queue — and once A is done they must
+// flush together as one batch of two.
+func TestGroupCommitOneFlushInFlight(t *testing.T) {
 	defer faultpoint.Reset()
-	dir := t.TempDir()
-	w, err := CreateWAL(dir)
+	w, err := CreateWAL(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := w.Offset()
+	defer w.Close()
+	reg := metrics.New()
+	w.SetMetrics(reg)
 
-	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, Delay: 100 * time.Millisecond, Times: 1})
+	stall := faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, Skip: true, Delay: 100 * time.Millisecond, Times: 1})
 	aErr := make(chan error, 1)
 	go func() { aErr <- w.CommitDurable(1) }()
-	waitOffsetPast(t, w, start)
-
-	// A's record is in the file and A is stalled in its doomed fsync; the
-	// serial path now syncs the whole log — A's record included.
-	if err := w.AppendCommit(2); err != nil {
-		t.Fatalf("concurrent serial commit: %v", err)
+	for deadline := time.Now().Add(5 * time.Second); stall.Calls() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("commit A never reached its fsync")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
+	aEnd := w.Offset()
+
+	// quiet fails as soon as a commit record lands or another fsync
+	// begins while A's is in flight.
+	quiet := func() {
+		t.Helper()
+		if got := w.Offset(); got != aEnd {
+			t.Fatalf("commit records appended during A's fsync: log end %d, want %d", got, aEnd)
+		}
+		if got := stall.Calls(); got != 1 {
+			t.Fatalf("%d more fsyncs began while A's was in flight, want none", got-1)
+		}
+	}
+	// queued waits until n commits are pending, staying quiet meanwhile.
+	queued := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for w.PendingCommits() < n {
+			quiet()
+			if time.Now().After(deadline) {
+				t.Fatalf("pending commits stuck at %d, want %d", w.PendingCommits(), n)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	// B then C, each counted before the next starts: FIFO record order.
+	errs := make(chan error, 2)
+	go func() { errs <- w.CommitDurable(2) }()
+	queued(2)
+	go func() { errs <- w.CommitDurable(3) }()
+	queued(3)
+	select {
+	case err := <-aErr:
+		t.Fatalf("A's stalled fsync returned (%v) before B and C queued; the checks would prove nothing", err)
+	default:
+	}
+	quiet()
+
 	if err := <-aErr; err != nil {
-		t.Fatalf("batch covered by a concurrent successful fsync must report success, got %v", err)
+		t.Fatalf("commit A: %v", err)
 	}
-	if w.SyncedOffset() != w.Offset() {
-		t.Fatalf("durable prefix %d does not cover the log end %d", w.SyncedOffset(), w.Offset())
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("commit B/C: %v", err)
+		}
 	}
-	w.Close()
-
-	_, w2, info, err := RecoverManager(dir, 1)
+	if got := stall.Calls(); got != 2 {
+		t.Fatalf("B and C took %d fsyncs, want 1", got-1)
+	}
+	hs := reg.HistSnapshotOf(metrics.HistWALBatchSize)
+	if hs.Count != 2 || hs.SumNS != 3 {
+		t.Fatalf("batch-size histogram = count %d sum %d, want a batch of 1 then one of 2", hs.Count, hs.SumNS)
+	}
+	recs, _, err := ScanLogFile(w.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	if info.Committed != 2 {
-		t.Fatalf("recovered %d committed transactions, want 2", info.Committed)
+	if len(recs) != 3 {
+		t.Fatalf("log holds %d records, want 3", len(recs))
+	}
+	for i, r := range recs {
+		if r.Kind != RecordCommit || r.Tx != uint64(i+1) {
+			t.Fatalf("record %d = kind %d tx %d, want commit of tx %d", i, r.Kind, r.Tx, i+1)
+		}
 	}
 }
 
 // TestGroupCommitPoisonedWhileFsyncInFlight: batch A's fsync is in flight
-// (and will report success — a skip fault stands in for it) when a serial
-// commit's fsync fails, poisoning the WAL and truncating the unsynced
-// tail — A's commit record included. A must report ErrWALBroken despite
-// its own fsync verdict: its records are no longer in the file, so
-// reporting success would claim durability for bytes recovery will never
-// see.
+// (and will report success — a skip fault stands in for it) when another
+// transaction's redo append is torn, poisoning the WAL and truncating the
+// unsynced tail — A's commit record included. A must report ErrWALBroken
+// despite its own fsync verdict: its records are no longer in the file,
+// so reporting success would claim durability for bytes recovery will
+// never see.
 func TestGroupCommitPoisonedWhileFsyncInFlight(t *testing.T) {
 	defer faultpoint.Reset()
 	dir := t.TempDir()
@@ -393,11 +438,11 @@ func TestGroupCommitPoisonedWhileFsyncInFlight(t *testing.T) {
 	go func() { aErr <- w.CommitDurable(1) }()
 	waitOffsetPast(t, w, start)
 
-	// While A stalls, a serial commit's fsync fails: the WAL is poisoned
-	// and the unsynced tail — A's record and this one — is truncated.
-	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALSync, Times: 1})
-	if err := w.AppendCommit(2); !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("serial commit under a failing fsync = %v, want injected error", err)
+	// While A stalls, a redo append is torn: the WAL is poisoned and the
+	// unsynced tail — A's record and the torn bytes — is truncated.
+	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALAppend, TornWrite: true, TornAt: 3, Times: 1})
+	if err := w.AppendSegCreate(1); !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("torn redo append = %v, want injected error", err)
 	}
 	if err := <-aErr; !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("batch whose records were truncated mid-fsync = %v, want ErrWALBroken", err)
@@ -414,94 +459,5 @@ func TestGroupCommitPoisonedWhileFsyncInFlight(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Fatalf("%d records of failed commits survive in the truncated log", len(recs))
-	}
-}
-
-// TestGroupCommitDurableBatchSurvivesLaterPoison pins the interleaving in
-// which a batch is durable yet finds the WAL poisoned: batch A's fsync
-// stalls (and is skipped), batch B appends after A and fsyncs, advancing
-// the durable prefix past A's records, and batch C's fsync then fails and
-// poisons the WAL. Poisoning truncates only above the durable prefix, so
-// A's commit record stays in the file — A must report success, or
-// recovery would replay a commit reported failed.
-func TestGroupCommitDurableBatchSurvivesLaterPoison(t *testing.T) {
-	defer faultpoint.Reset()
-	dir := t.TempDir()
-	w, err := CreateWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := w.Offset()
-
-	// A (first batch fsync) is skipped after a stall; C (third) fails.
-	stall := faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, Skip: true, Delay: 200 * time.Millisecond, Times: 1})
-	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, After: 2, Times: 1})
-
-	aErr := make(chan error, 1)
-	go func() { aErr <- w.appendCommitBatch([]uint64{1}, nil, 0) }()
-	waitOffsetPast(t, w, start)
-	aEnd := w.Offset()
-	// A's records are appended; wait until its fsync is the one stalling.
-	for deadline := time.Now().Add(5 * time.Second); stall.Calls() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("batch A never reached its fsync")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	if err := w.appendCommitBatch([]uint64{2}, nil, 0); err != nil {
-		t.Fatalf("batch B: %v", err)
-	}
-	if w.SyncedOffset() <= aEnd {
-		t.Fatalf("batch B did not advance the durable prefix past A: synced %d, A ends at %d", w.SyncedOffset(), aEnd)
-	}
-	if err := w.appendCommitBatch([]uint64{3}, nil, 0); !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("batch C under a failing fsync = %v, want injected error", err)
-	}
-	if err := <-aErr; err != nil {
-		t.Fatalf("batch A is inside the durable prefix but reported %v", err)
-	}
-	w.Close()
-
-	_, w2, info, err := RecoverManager(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if info.Committed != 2 {
-		t.Fatalf("recovered %d committed transactions, want 2 (A and B)", info.Committed)
-	}
-}
-
-// TestGroupCommitDisable pins the serial fallback: with group commit
-// explicitly disabled, CommitDurable must behave exactly like
-// AppendCommit (one record, one fsync, no writer goroutine involved).
-func TestGroupCommitDisable(t *testing.T) {
-	w, err := CreateWAL(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	reg := metrics.New()
-	w.SetMetrics(reg)
-	w.DisableGroupCommit()
-
-	for tx := uint64(1); tx <= 3; tx++ {
-		if err := w.CommitDurable(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Count(metrics.CtrWALGroupBatch); got != 0 {
-		t.Fatalf("disabled group commit still flushed %d batches", got)
-	}
-	if got := reg.Count(metrics.CtrWALFsync); got != 3 {
-		t.Fatalf("serial path took %d fsyncs for 3 commits, want 3", got)
-	}
-	recs, _, err := ScanLogFile(w.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("log holds %d records, want 3", len(recs))
 	}
 }

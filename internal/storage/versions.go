@@ -286,7 +286,7 @@ func (vs *VersionStore) dropEntryLocked(nbytes int64) {
 
 // Publish makes the staged before-images of the given committed
 // transactions visible under one shared commit LSN and advances the
-// stable point past them. The WAL group-commit writer calls this after a
+// stable point past them. The WAL group-commit leader calls this after a
 // successful batch fsync, before any committer in the batch is woken (so
 // before any page lock is released): one LSN per batch is what guarantees
 // a snapshot never observes half a batch. Transactions with nothing

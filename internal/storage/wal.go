@@ -52,9 +52,10 @@ import (
 //     unreachable garbage (no POT entry resurrects them), never corruption.
 //
 // Commit durability is fsync-on-commit: TxServer appends each mutation at
-// operation time and appends-then-fsyncs a commit record at Commit. Faults
-// are injectable at faultpoint.WALAppend (torn writes) and
-// faultpoint.WALSync (lost fsyncs).
+// operation time and makes a commit record durable at Commit, batched with
+// concurrent commits into one fsync (groupcommit.go). Faults are
+// injectable at faultpoint.WALAppend (torn redo writes) and at the commit
+// batch's sites (faultpoint.WALBatchAppend, faultpoint.WALBatchSync).
 
 // WAL record types.
 const (
@@ -69,9 +70,9 @@ const (
 
 const (
 	walMagic     = "GOMWAL01"
-	walHeaderLen = 16              // magic + epoch
-	walFrameHdr  = 8               // length + crc
-	walMaxRecord = page.Size + 64  // largest legal payload
+	walHeaderLen = 16             // magic + epoch
+	walFrameHdr  = 8              // length + crc
+	walMaxRecord = page.Size + 64 // largest legal payload
 	snapPattern  = "snap-%016d.gom"
 	walPattern   = "wal-%016d.log"
 	snapTmp      = "snap.tmp" // checkpoint staging file
@@ -86,17 +87,21 @@ var (
 )
 
 // WAL is an append-only write-ahead log over one directory. It is safe for
-// concurrent use; appends are serialized and the commit append fsyncs.
+// concurrent use; appends are serialized and commit batches fsync.
 type WAL struct {
-	mu     sync.Mutex
-	dir    string
-	f      *os.File
-	epoch  uint64
-	off    int64 // logical end of the valid log
-	synced int64 // prefix known durable (advanced by successful fsync)
-	broken bool  // a failed/torn append poisons the tail
-	nosync bool  // benchmark hook: count but skip fsyncs
-	obs    *metrics.Registry
+	// flushMu is held by a commit batch from its append to its fsync
+	// verdict, so at most one batch is ever in flight; Close takes it to
+	// wait for that verdict. Lock order: flushMu before mu.
+	flushMu sync.Mutex
+	mu      sync.Mutex
+	dir     string
+	f       *os.File
+	epoch   uint64
+	off     int64 // logical end of the valid log
+	synced  int64 // prefix known durable (advanced by successful fsync)
+	broken  bool  // a failed/torn append poisons the tail
+	nosync  bool  // benchmark hook: count but skip fsyncs
+	obs     *metrics.Registry
 
 	// commitHook, when set, runs after a commit append is durable and
 	// before the committer is released — the MVCC version store publishes
@@ -105,12 +110,13 @@ type WAL struct {
 	// never invoke it.
 	commitHook atomic.Pointer[func(txs []uint64)]
 
-	// Group-commit pipeline (groupcommit.go). gcConfigured distinguishes
-	// "never touched" (CommitDurable starts the writer with defaults) from
-	// "explicitly disabled" (CommitDurable stays on the serial path).
-	gcMu         sync.RWMutex
-	gc           *groupCommitter
-	gcConfigured bool
+	gc groupCommitter // leader/follower commit batching (groupcommit.go)
+}
+
+func newWAL(dir string) *WAL {
+	w := &WAL{dir: dir}
+	w.gc.arrive = make(chan struct{}, 1)
+	return w
 }
 
 // CreateWAL creates a fresh epoch-0 log in dir (creating the directory if
@@ -122,7 +128,7 @@ func CreateWAL(dir string) (*WAL, error) {
 	if es := walEpochs(dir); len(es) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrWALExists, dir)
 	}
-	w := &WAL{dir: dir}
+	w := newWAL(dir)
 	if err := w.openFresh(0); err != nil {
 		return nil, err
 	}
@@ -231,10 +237,11 @@ func (w *WAL) Metrics() *metrics.Registry {
 	return w.obs
 }
 
-// Close stops the group-commit writer (draining queued commits) and
-// closes the log file (the WAL is unusable afterwards).
+// Close waits for an in-flight commit batch's fsync verdict and closes
+// the log file (the WAL is unusable afterwards: later commits fail).
 func (w *WAL) Close() error {
-	w.DisableGroupCommit()
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -249,8 +256,8 @@ func (w *WAL) Close() error {
 // Everything above the durable prefix includes, at minimum, the records
 // whose append or fsync just failed — records whose durability was (or is
 // about to be) reported failed. Leaving them in the file would let a
-// later successful fsync — a concurrent commit batch's, or the OS
-// flushing dirty pages on its own — silently make them durable, and
+// later successful fsync — the next commit batch's, or the OS flushing
+// dirty pages on its own — silently make them durable, and
 // recovery would then replay commits the system reported failed.
 // Truncation is best-effort (the device may be the reason we are here):
 // the post-truncate sync that persists the new length ignores errors, and
@@ -276,11 +283,11 @@ func walFrame(payload []byte) []byte {
 	return out
 }
 
-// append writes one framed record; sync additionally fsyncs (commit
-// durability). The faultpoint.WALAppend site can tear the write at a byte
-// offset — the torn bytes land in the file, the append fails, and the WAL
-// is poisoned until recovery, exactly like a crash mid-write.
-func (w *WAL) append(payload []byte, sync bool) error {
+// append writes one framed redo record (durable with the next commit
+// batch's fsync). The faultpoint.WALAppend site can tear the write at a
+// byte offset — the torn bytes land in the file, the append fails, and
+// the WAL is poisoned until recovery, exactly like a crash mid-write.
+func (w *WAL) append(payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -304,50 +311,6 @@ func (w *WAL) append(payload []byte, sync bool) error {
 	}
 	w.obs.Inc(metrics.CtrWALAppend)
 	w.obs.AddN(metrics.CtrWALAppendBytes, int64(len(frame)))
-	if !sync {
-		return nil
-	}
-	return w.syncLocked()
-}
-
-// Sync makes everything appended so far durable.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
-	return w.syncSiteLocked(faultpoint.WALSync)
-}
-
-// syncSiteLocked fsyncs under the named fault site. A *failed* fsync
-// (injected or real) poisons the WAL: records already appended — commit
-// records in particular — would otherwise be silently made durable by
-// the next successful sync, after their commits were reported failed. A
-// *skipped* fsync (faultpoint Skip, or nosync mode) reports success
-// without advancing the durable prefix: a later crash loses the tail.
-func (w *WAL) syncSiteLocked(site string) error {
-	if w.broken {
-		// The poisoned (and truncated) tail held records whose durability
-		// was already reported failed; nothing past the durable prefix
-		// may be synced into existence again.
-		return ErrWALBroken
-	}
-	skip, err := faultpoint.CheckSync(site)
-	if err != nil {
-		w.poisonLocked()
-		return err
-	}
-	if skip || w.nosync {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		w.poisonLocked()
-		return err
-	}
-	w.synced = w.off
-	w.obs.Inc(metrics.CtrWALFsync)
 	return nil
 }
 
@@ -358,16 +321,9 @@ func (w *WAL) syncSiteLocked(site string) error {
 // the batch, the partial-batch torn write — and faultpoint.WALBatchSync
 // can fail or skip the shared fsync. Any failure poisons the WAL —
 // truncating the unsynced tail, see poisonLocked — and fails every
-// transaction in the batch, with two concurrency refinements resolved in
-// the post-fsync critical section: a batch whose records a concurrent
-// batch's successful fsync already covered (end <= synced) is durable and
-// reports success, whether its own fsync failed or a later poisoning
-// happened while it was in flight, and a batch that finds the WAL
-// poisoned with its records above the durable prefix (truncated out from
-// under its in-flight fsync) reports ErrWALBroken even if its own fsync
-// succeeded. Either way no
-// transaction is ever reported failed while its commit record remains in
-// the file for a later sync — or the OS's own writeback — to resurrect.
+// transaction in the batch, so no transaction is ever reported failed
+// while its commit record remains in the file for a later sync — or the
+// OS's own writeback — to resurrect.
 //
 // The fsync itself runs with w.mu released: committers mid-transaction
 // keep appending redo records (and reaching their own commit points)
@@ -375,12 +331,19 @@ func (w *WAL) syncSiteLocked(site string) error {
 // the next batch coalesces. Holding the mutex across the fsync would
 // serialize the whole pipeline and batches would never form. This is
 // safe because the batch's bytes sit below the captured end offset and
-// fsync covers the whole file regardless of later appends.
+// fsync covers the whole file regardless of later appends. flushMu keeps
+// every other batch out until the verdict, so the durable prefix can only
+// move here, and the one way the batch can be undone mid-flight is a redo
+// append torn during the fsync: it poisons the WAL and truncates the
+// unsynced tail — this batch's records included — and the batch then
+// reports ErrWALBroken whatever its own fsync said.
 //
 // On success the append/fsync/publish stage timings are observed into
 // the wal_phase_* histograms (exemplar-stamped with the batch's trace
-// ID) and, when ph is non-nil, written into the caller's flight record.
+// ID) and written into the caller's flight record.
 func (w *WAL) appendCommitBatch(txs []uint64, ph *CommitPhases, exemplar uint64) error {
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	start := time.Now()
 	w.mu.Lock()
 	if w.f == nil {
@@ -427,48 +390,17 @@ func (w *WAL) appendCommitBatch(txs []uint64, ph *CommitPhases, exemplar uint64)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken {
-		if end <= w.synced {
-			// Poisoned while our fsync was in flight, but a concurrent
-			// batch's successful fsync had already advanced the durable
-			// prefix past our records, and poisoning truncates only above
-			// that prefix: the records are durable and still in the file,
-			// so recovery will replay them. Report success — failing here
-			// would be the resurrection bug.
-			w.finishCommitBatch(txs, ph, exemplar, start, appendDone, fsyncDone)
-			return nil
-		}
-		// Poisoned while our fsync was in flight: the poisoner truncated
-		// the unsynced tail, which includes this batch's records, so even
-		// a successful fsync here proves nothing about them. Report
-		// failure without advancing synced or firing the hook — the
-		// records are gone from the file, so recovery cannot resurrect
-		// these transactions either.
+		// A torn redo append poisoned the WAL during the fsync and
+		// truncated this batch's records: even a successful fsync proves
+		// nothing about them, and recovery cannot replay them either.
 		return ErrWALBroken
 	}
 	if serr != nil {
-		if end <= w.synced {
-			// A concurrent batch appended after us, fsynced successfully,
-			// and advanced the durable prefix past our records before our
-			// own (failed) fsync verdict arrived. fsync covers the whole
-			// file, so our commit records are provably durable — report
-			// success; failing them here would be the resurrection bug in
-			// reverse (transactions reported failed yet replayed as
-			// committed after a crash). The WAL stays usable: the durable
-			// prefix already covers everything this batch wrote.
-			w.finishCommitBatch(txs, ph, exemplar, start, appendDone, fsyncDone)
-			return nil
-		}
-		// First to observe the failure: poison and truncate the unsynced
-		// tail (see poisonLocked) so the batch's commit records — whose
-		// durability is being reported failed right here — can never be
-		// made durable by a later sync.
 		w.poisonLocked()
 		return serr
 	}
 	if !skip && !nosync {
-		if end > w.synced {
-			w.synced = end
-		}
+		w.synced = end
 		w.obs.Inc(metrics.CtrWALFsync)
 	}
 	w.finishCommitBatch(txs, ph, exemplar, start, appendDone, fsyncDone)
@@ -494,15 +426,13 @@ func (w *WAL) finishCommitBatch(txs []uint64, ph *CommitPhases, exemplar uint64,
 	w.obs.ObserveHistTrace(metrics.HistPhaseAppend, appendNS, exemplar)
 	w.obs.ObserveHistTrace(metrics.HistPhaseFsync, fsyncNS, exemplar)
 	w.obs.ObserveHistTrace(metrics.HistPhasePublish, publishNS, exemplar)
-	if ph != nil {
-		ph.BatchSize = len(txs)
-		ph.AppendAt = start.UnixNano()
-		ph.AppendNS = appendNS
-		ph.FsyncAt = appendDone.UnixNano()
-		ph.FsyncNS = fsyncNS
-		ph.PublishAt = publishStart.UnixNano()
-		ph.PublishNS = publishNS
-	}
+	ph.BatchSize = len(txs)
+	ph.AppendAt = start.UnixNano()
+	ph.AppendNS = appendNS
+	ph.FsyncAt = appendDone.UnixNano()
+	ph.FsyncNS = fsyncNS
+	ph.PublishAt = publishStart.UnixNano()
+	ph.PublishNS = publishNS
 }
 
 // The typed appends. System records pass tx 0.
@@ -512,7 +442,7 @@ func (w *WAL) AppendSegCreate(seg uint16) error {
 	p := make([]byte, 3)
 	p[0] = walRecSegCreate
 	binary.LittleEndian.PutUint16(p[1:], seg)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendEnsurePages logs "segment seg has at least count pages" (system
@@ -522,7 +452,7 @@ func (w *WAL) AppendEnsurePages(seg uint16, count int) error {
 	p[0] = walRecEnsurePages
 	binary.LittleEndian.PutUint16(p[1:], seg)
 	binary.LittleEndian.PutUint64(p[3:], uint64(count))
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendPageImage logs a full page image written under transaction tx.
@@ -535,7 +465,7 @@ func (w *WAL) AppendPageImage(tx uint64, pid page.PageID, img []byte) error {
 	binary.LittleEndian.PutUint64(p[1:], tx)
 	binary.LittleEndian.PutUint64(p[9:], uint64(pid))
 	copy(p[17:], img)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendPotPut logs a POT insert/update under transaction tx.
@@ -546,7 +476,7 @@ func (w *WAL) AppendPotPut(tx uint64, id oid.OID, addr PAddr) error {
 	binary.LittleEndian.PutUint64(p[9:], uint64(id))
 	binary.LittleEndian.PutUint64(p[17:], uint64(addr.Page))
 	binary.LittleEndian.PutUint16(p[25:], addr.Slot)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // AppendPotDelete logs a POT removal under transaction tx.
@@ -555,21 +485,7 @@ func (w *WAL) AppendPotDelete(tx uint64, id oid.OID) error {
 	p[0] = walRecPotDelete
 	binary.LittleEndian.PutUint64(p[1:], tx)
 	binary.LittleEndian.PutUint64(p[9:], uint64(id))
-	return w.append(p, false)
-}
-
-// AppendCommit logs the transaction's commit record and fsyncs — the
-// durability point of fsync-on-commit.
-func (w *WAL) AppendCommit(tx uint64) error {
-	p := make([]byte, 9)
-	p[0] = walRecCommit
-	binary.LittleEndian.PutUint64(p[1:], tx)
-	if err := w.append(p, true); err != nil {
-		return err
-	}
-	w.obs.Inc(metrics.CtrWALCommit)
-	w.fireCommitHook([]uint64{tx})
-	return nil
+	return w.append(p)
 }
 
 // AppendAbort logs an abort marker (informational; replay skips
@@ -578,7 +494,7 @@ func (w *WAL) AppendAbort(tx uint64) error {
 	p := make([]byte, 9)
 	p[0] = walRecAbort
 	binary.LittleEndian.PutUint64(p[1:], tx)
-	return w.append(p, false)
+	return w.append(p)
 }
 
 // Checkpoint rotates the log: it writes a full manager snapshot for epoch
@@ -642,15 +558,15 @@ func syncDir(dir string) {
 
 // walRec is one decoded log record.
 type walRec struct {
-	typ     byte
-	tx      uint64
-	seg     uint16
-	count   uint64
-	pid     page.PageID
-	id      oid.OID
-	slot    uint16
-	img     []byte
-	end     int64 // file offset just past this record's frame
+	typ   byte
+	tx    uint64
+	seg   uint16
+	count uint64
+	pid   page.PageID
+	id    oid.OID
+	slot  uint16
+	img   []byte
+	end   int64 // file offset just past this record's frame
 }
 
 // scanWAL decodes the log image in data: header check, then records until
@@ -805,14 +721,14 @@ func ScanLogFile(path string) ([]LogRecordInfo, int64, error) {
 
 // RecoverInfo reports what recovery found and did.
 type RecoverInfo struct {
-	Epoch         uint64 // epoch recovered
-	FromSnapshot  bool   // a snapshot seeded the state
-	Records       int    // valid records scanned
-	Replayed      int    // records applied (system + committed)
-	Committed     int    // committed transactions replayed
-	Skipped       int    // transactions discarded (uncommitted/aborted)
-	TornBytes     int64  // torn-tail bytes truncated from the log
-	TornReason    string // why the scan stopped, "" when the tail was clean
+	Epoch        uint64 // epoch recovered
+	FromSnapshot bool   // a snapshot seeded the state
+	Records      int    // valid records scanned
+	Replayed     int    // records applied (system + committed)
+	Committed    int    // committed transactions replayed
+	Skipped      int    // transactions discarded (uncommitted/aborted)
+	TornBytes    int64  // torn-tail bytes truncated from the log
+	TornReason   string // why the scan stopped, "" when the tail was clean
 }
 
 func (ri RecoverInfo) String() string {
@@ -867,7 +783,7 @@ func RecoverManager(dir string, volume uint16) (*Manager, *WAL, RecoverInfo, err
 
 	epochs := walEpochs(dir)
 	var m *Manager
-	w := &WAL{dir: dir}
+	w := newWAL(dir)
 	if len(epochs) == 0 {
 		m = NewManager(volume)
 		if err := w.openFresh(0); err != nil {

@@ -43,7 +43,7 @@ func appendCommittedObject(t *testing.T, w *WAL, tx uint64, id oid.OID, rec []by
 	if err := w.AppendPotPut(tx, id, addr); err != nil {
 		t.Fatalf("pot put: %v", err)
 	}
-	if err := w.AppendCommit(tx); err != nil {
+	if err := w.CommitDurable(tx); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	return addr
@@ -74,7 +74,7 @@ func allocAndLog(t *testing.T, m *Manager, w *WAL, tx uint64, rec []byte) oid.OI
 	if err := w.AppendPotPut(tx, id, addr); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCommit(tx); err != nil {
+	if err := w.CommitDurable(tx); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -355,13 +355,13 @@ func TestWALTornAppendPoisonsLog(t *testing.T) {
 	id := oid.NewGeneratorAt(1, 1).Next()
 	appendCommittedObject(t, w, 1, id, []byte("kept"))
 
-	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALAppend, TornWrite: true, TornAt: 3, Times: 1})
-	if err := w.AppendCommit(2); !errors.Is(err, faultpoint.ErrInjected) {
+	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchAppend, TornWrite: true, TornAt: 3, Times: 1})
+	if err := w.CommitDurable(2); !errors.Is(err, faultpoint.ErrInjected) {
 		t.Fatalf("torn append: %v", err)
 	}
 	// Poisoned: the WAL refuses further appends, and the torn bytes were
 	// truncated away with the rest of the unsynced tail.
-	if err := w.AppendCommit(3); !errors.Is(err, ErrWALBroken) {
+	if err := w.CommitDurable(3); !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("append on broken WAL: %v", err)
 	}
 	w.Close()
@@ -396,12 +396,12 @@ func TestWALLostFsyncLosesTail(t *testing.T) {
 
 	// The second commit's fsync is silently lost: the append reports
 	// success but the durable prefix stays behind.
-	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALSync, Skip: true})
+	faultpoint.Arm(faultpoint.Fault{Site: faultpoint.WALBatchSync, Skip: true})
 	lost := gen.Next()
 	if err := w.AppendPotPut(2, lost, PAddr{Page: page.NewPageID(1, 0), Slot: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCommit(2); err != nil {
+	if err := w.CommitDurable(2); err != nil {
 		t.Fatalf("commit with lost fsync must report success: %v", err)
 	}
 	if w.SyncedOffset() != syncedAt {
